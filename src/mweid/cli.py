@@ -143,8 +143,6 @@ def cmd_train(args) -> int:
         raise CliError(
             f"output directory {out_dir} is not empty (use --force)",
             EXIT_CONFIG)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     train_corpus = _load_merged(config["train"])
     dev_corpus = _load_merged(config["dev"]) if config["dev"] else None
     try:
@@ -155,8 +153,6 @@ def cmd_train(args) -> int:
     except (TypeError, ValueError) as err:
         raise CliError(f"bad configuration: {err}", EXIT_CONFIG) from err
 
-    (out_dir / "config.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     try:
         model = MweTagger.build(model_config, train_corpus)
         report = train(model, train_corpus, dev_corpus, trainer_config)
@@ -165,12 +161,14 @@ def cmd_train(args) -> int:
     except Exception as err:
         raise CliError(f"training failed: {err}", EXIT_TRAIN) from err
 
+    # Written only now, so a failed run leaves the directory as it was.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.json").write_text(
+        json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     model.save(out_dir / "checkpoint.json")
     if report.best_state is not None:
-        final_state = model.state_arrays()
         model.load_state_arrays(report.best_state)
         model.save(out_dir / "checkpoint_best.json")
-        model.load_state_arrays(final_state)
     (out_dir / "report.jsonl").write_text(report.to_jsonl(), encoding="utf-8")
     (out_dir / "summary.json").write_text(
         json.dumps(report.summary(), indent=2, sort_keys=True) + "\n",
@@ -186,7 +184,7 @@ def cmd_tag(args) -> int:
         raise CliError(f"no such checkpoint: {args.checkpoint}", EXIT_CONFIG)
     try:
         model = MweTagger.load(args.checkpoint)
-    except (CheckpointError, json.JSONDecodeError, KeyError) as err:
+    except CheckpointError as err:
         raise CliError(f"bad checkpoint: {err}", EXIT_CONFIG) from err
     corpus, _ = _load_part(args.input)
     predicted = predict_corpus(model, corpus)

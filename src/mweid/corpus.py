@@ -17,13 +17,6 @@ CUPT_COLUMNS = ("ID", "FORM", "LEMMA", "UPOS", "XPOS", "FEATS",
                 "HEAD", "DEPREL", "DEPS", "MISC", "PARSEME:MWE")
 N_COLUMNS = len(CUPT_COLUMNS)
 
-# Verbal MWE categories annotated for Romanian; other languages add
-# further codes (VPC.full, IAV, MVC, ...) which are carried verbatim.
-ROMANIAN_CATEGORIES = frozenset({"VID", "LVC.full", "LVC.cause", "IRV"})
-KNOWN_CATEGORIES = ROMANIAN_CATEGORIES | frozenset({
-    "VPC.full", "VPC.semi", "IAV", "MVC", "LS.ICV",
-})
-
 
 class CuptError(ValueError):
     """Base class for corpus format errors."""
@@ -67,10 +60,6 @@ class VmweCategory:
         if not self.code or ":" in self.code or ";" in self.code:
             raise BadMweColumn(f"invalid MWE category code: {self.code!r}")
 
-    @property
-    def is_known(self) -> bool:
-        return self.code in KNOWN_CATEGORIES
-
     def __str__(self) -> str:
         return self.code
 
@@ -91,9 +80,6 @@ class Token:
     misc_columns: tuple[str, ...]
     mwe_tags: tuple[tuple[int, VmweCategory | None], ...]
     mwe_raw: str = "*"
-
-    def memberships(self) -> tuple[tuple[int, VmweCategory | None], ...]:
-        return self.mwe_tags
 
 
 @dataclass(frozen=True)
@@ -218,20 +204,23 @@ def format_mwe_field(memberships) -> str:
     return ";".join(items)
 
 
-def _validate_sentence_mwes(tokens, location: str) -> None:
-    """Check MWE id contiguity and the one-category-bearer convention."""
-    bearers: dict[int, list[int]] = {}
+def _check_mwe_rules(tokens, location: str):
+    """Check that MWE ids are 1..m and each MWE's category sits on its first
+    member only; return ({id: member token ids}, {id: category}).
+    """
     members: dict[int, list[int]] = {}
+    bearers: dict[int, list[int]] = {}
+    categories: dict[int, VmweCategory] = {}
     for tok in tokens:
         for mwe_id, category in tok.mwe_tags:
             members.setdefault(mwe_id, []).append(tok.id)
             if category is not None:
                 bearers.setdefault(mwe_id, []).append(tok.id)
-    if members:
-        ids = sorted(members)
-        if ids != list(range(1, len(ids) + 1)):
-            raise NonContiguousIds(
-                f"{location}: MWE ids {ids} do not form 1..{len(ids)}")
+                categories[mwe_id] = category
+    ids = sorted(members)
+    if ids != list(range(1, len(ids) + 1)):
+        raise NonContiguousIds(
+            f"{location}: MWE ids {ids} do not form 1..{len(ids)}")
     for mwe_id, positions in members.items():
         carrying = bearers.get(mwe_id, [])
         if not carrying:
@@ -245,6 +234,7 @@ def _validate_sentence_mwes(tokens, location: str) -> None:
             raise BadMweColumn(
                 f"{location}: MWE {mwe_id} category must sit on its first "
                 f"component (token {min(positions)}), found on {carrying[0]}")
+    return members, categories
 
 
 def _finish_sentence(comments, rows, language, source, start_line) -> Sentence:
@@ -261,7 +251,7 @@ def _finish_sentence(comments, rows, language, source, start_line) -> Sentence:
     ids = [t.id for t in tokens]
     if ids != list(range(1, len(ids) + 1)):
         raise NonContiguousIds(f"{location}: token ids {ids} are not 1..{len(ids)}")
-    _validate_sentence_mwes(tokens, location)
+    _check_mwe_rules(tokens, location)
     sent_id = ""
     text = ""
     for line in comments:
@@ -292,18 +282,17 @@ def parse_cupt(text: str, language: str | None = None,
     block_start = 1
     in_block = False
 
-    def flush(line_no):
+    def flush():
         nonlocal comments, rows, in_block
         if comments or rows:
             sentences.append(_finish_sentence(comments, rows, language,
                                               source, block_start))
         comments, rows, in_block = [], [], False
 
-    line_no = 0
     for line_no, line in enumerate(text.split("\n"), start=1):
         line = line.rstrip("\r")
         if not line.strip():
-            flush(line_no)
+            flush()
             continue
         if not in_block:
             block_start = line_no
@@ -332,7 +321,7 @@ def parse_cupt(text: str, language: str | None = None,
             id=tok_id, form=cols[1], lemma=cols[2], upos=cols[3],
             misc_columns=tuple(cols[4:10]), mwe_tags=memberships,
             mwe_raw=cols[10])))
-    flush(line_no)
+    flush()
     return Corpus(sentences=tuple(sentences),
                   source_files=(source,) if source != "<string>" else ())
 
@@ -366,23 +355,11 @@ def serialize_corpus(corpus: Corpus) -> str:
 
 def extract_mwes(sentence: Sentence) -> list[MweInstance]:
     """Collect one MweInstance per distinct MWE id, ordered by id."""
-    members: dict[int, list[int]] = {}
-    categories: dict[int, VmweCategory] = {}
-    for token in sentence.tokens:
-        for mwe_id, category in token.mwe_tags:
-            members.setdefault(mwe_id, []).append(token.id)
-            if category is not None:
-                if mwe_id in categories:
-                    raise BadMweColumn(
-                        f"MWE {mwe_id} has more than one category-bearing "
-                        f"component")
-                categories[mwe_id] = category
-    instances = []
+    members, categories = _check_mwe_rules(
+        sentence.tokens, f"sentence {sentence.sent_id!r}")
     lemmas = sentence.lemmas()
+    instances = []
     for mwe_id in sorted(members):
-        if mwe_id not in categories:
-            raise DanglingMweId(
-                f"MWE {mwe_id} has no category-bearing component")
         indices = tuple(sorted(members[mwe_id]))
         instances.append(MweInstance(
             mwe_id=mwe_id, category=categories[mwe_id], token_indices=indices,

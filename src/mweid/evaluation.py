@@ -104,8 +104,11 @@ def match_mwes(gold: Sentence, pred: Sentence,
     duplicates beyond the gold multiplicity stay unmatched.
     """
     _check_tokenization(gold, pred)
-    gold_instances = extract_mwes(gold)
-    pred_instances = extract_mwes(pred)
+    return _pair(extract_mwes(gold), extract_mwes(pred), category_sensitive)
+
+
+def _pair(gold_instances: list[MweInstance], pred_instances: list[MweInstance],
+          category_sensitive: bool) -> list[tuple[MweInstance, MweInstance]]:
     available: dict = {}
     for instance in gold_instances:
         available.setdefault(_match_key(instance, category_sensitive),
@@ -118,23 +121,24 @@ def match_mwes(gold: Sentence, pred: Sentence,
     return pairs
 
 
-def evaluate(gold: Corpus, pred: Corpus, train: Corpus,
+def evaluate(gold: Corpus, pred: Corpus, train: Corpus | set,
              category_sensitive: bool = False) -> EvalResult:
     """Score a predicted corpus against gold, globally and on unseen MWEs.
 
-    ``train`` supplies the seen lemma keys; a gold or predicted instance
-    is counted on the unseen side exactly when its lemma key is absent
-    from that set.
+    ``train`` is the training corpus or its precomputed seen_lemma_keys; a
+    gold or predicted instance is counted on the unseen side exactly when
+    its lemma key is absent from the seen keys.
     """
     if len(gold) != len(pred):
         raise AlignmentMismatch(
             f"gold has {len(gold)} sentences, predictions have {len(pred)}")
-    seen = seen_lemma_keys(train)
+    seen = train if isinstance(train, set) else seen_lemma_keys(train)
     counts = Counter()
     for gold_sentence, pred_sentence in zip(gold, pred):
+        _check_tokenization(gold_sentence, pred_sentence)
         gold_instances = extract_mwes(gold_sentence)
         pred_instances = extract_mwes(pred_sentence)
-        pairs = match_mwes(gold_sentence, pred_sentence, category_sensitive)
+        pairs = _pair(gold_instances, pred_instances, category_sensitive)
         counts["gold"] += len(gold_instances)
         counts["predicted"] += len(pred_instances)
         counts["matched"] += len(pairs)

@@ -21,6 +21,11 @@ from .autodiff import (Parameter, Tensor, _expit, _node, _require_2d, add,
                        matmul, mul, scale, sigmoid, transpose)
 
 
+# Zero weights with this small positive bias start every gate open, so
+# an untrained layer passes features through unchanged.
+INITIAL_BIAS = 0.1
+
+
 class NotSquare(ValueError):
     """zero_diag needs a square matrix."""
 
@@ -76,15 +81,6 @@ class LateralInhibitionLayer:
         self.weight = weight
         self.bias = bias
         self.steepness = float(steepness)
-
-    @classmethod
-    def build(cls, width: int, steepness: float = 10.0, name: str = "li",
-              bias_init: float = 0.1) -> "LateralInhibitionLayer":
-        # Zero weights with a small positive bias start every gate open,
-        # so an untrained layer passes features through unchanged.
-        weight = Parameter(np.zeros((width, width)), name=f"{name}.weight")
-        bias = Parameter(np.full(width, bias_init), name=f"{name}.bias")
-        return cls(weight, bias, steepness)
 
     @property
     def width(self) -> int:

@@ -20,6 +20,7 @@ extractor/classifier initial weights.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .corpus import Corpus, Sentence, extract_mwes
-from .inhibition import LateralInhibitionLayer
+from .inhibition import INITIAL_BIAS, LateralInhibitionLayer
 
 PAD_ID = 0
 UNK_ID = 1
@@ -42,7 +43,7 @@ class UnknownLanguage(ValueError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file does not match the expected format/version."""
+    """A checkpoint file is not a valid checkpoint of this format/version."""
 
 
 @dataclass
@@ -110,10 +111,6 @@ class FeatureExtractor:
         self.hidden_w = hidden_w
         self.hidden_b = hidden_b
         self.window = window
-
-    @property
-    def output_dim(self) -> int:
-        return self.hidden_w.shape[1]
 
     def parameters(self) -> list[Parameter]:
         return [self.embedding, self.hidden_w, self.hidden_b]
@@ -195,41 +192,47 @@ class MweTagger:
     @classmethod
     def build(cls, config: ModelConfig, corpus: Corpus) -> "MweTagger":
         config.validate()
-        vocab = build_vocab(corpus)
-        tagset = build_tagset(corpus)
-        languages = build_languages(corpus)
         rng = np.random.default_rng(config.seed)
 
-        def uniform(shape, name):
-            return Parameter(rng.uniform(-0.1, 0.1, size=shape), name)
+        def drawn(name, shape, fill=None):
+            data = (rng.uniform(-0.1, 0.1, size=shape) if fill is None
+                    else np.full(shape, fill))
+            return Parameter(data, name)
 
-        e, h = config.embedding_dim, config.hidden_dim
-        window_width = (2 * config.window + 1) * e
+        return cls._wire(config, build_vocab(corpus), build_tagset(corpus),
+                         build_languages(corpus), drawn)
+
+    @classmethod
+    def _wire(cls, config: ModelConfig, vocab: dict[str, int],
+              tagset: list[str], languages: list[str], param) -> "MweTagger":
+        """Assemble the model; the one place that names and shapes parameters.
+
+        ``param(name, shape, fill)`` returns each parameter in a fixed
+        order (extractor, classifier, discriminator last). ``fill`` is the
+        constant initial value of a parameter that is not drawn at random.
+        """
+        e, h, d = config.embedding_dim, config.hidden_dim, config.disc_hidden_dim
         extractor = FeatureExtractor(
-            vocab=vocab,
-            embedding=uniform((len(vocab), e), "extractor.embedding"),
-            hidden_w=uniform((window_width, h), "extractor.hidden_w"),
-            hidden_b=uniform((h,), "extractor.hidden_b"),
-            window=config.window)
+            vocab, param("extractor.embedding", (len(vocab), e)),
+            param("extractor.hidden_w", ((2 * config.window + 1) * e, h)),
+            param("extractor.hidden_b", (h,)), config.window)
         inhibition = None
         if config.use_lateral_inhibition:
-            inhibition = LateralInhibitionLayer.build(h, config.steepness,
-                                                      name="classifier.li")
+            inhibition = LateralInhibitionLayer(
+                param("classifier.li.weight", (h, h), fill=0.0),
+                param("classifier.li.bias", (h,), fill=INITIAL_BIAS),
+                config.steepness)
         classifier = TagClassifier(
-            inhibition=inhibition,
-            head_w=uniform((h, len(tagset)), "classifier.head_w"),
-            head_b=uniform((len(tagset),), "classifier.head_b"))
+            inhibition, param("classifier.head_w", (h, len(tagset))),
+            param("classifier.head_b", (len(tagset),)))
         discriminator = None
         if config.use_adversarial:
             # Drawn last: toggling the adversary leaves all other draws intact.
+            n = max(len(languages), 1)
             discriminator = LanguageDiscriminator(
-                languages=languages,
-                w1=uniform((h, config.disc_hidden_dim), "discriminator.w1"),
-                b1=uniform((config.disc_hidden_dim,), "discriminator.b1"),
-                w2=uniform((config.disc_hidden_dim, max(len(languages), 1)),
-                           "discriminator.w2"),
-                b2=uniform((max(len(languages), 1),), "discriminator.b2"),
-                lam=config.lam)
+                languages, param("discriminator.w1", (h, d)),
+                param("discriminator.b1", (d,)), param("discriminator.w2", (d, n)),
+                param("discriminator.b2", (n,)), config.lam)
         return cls(config, extractor, classifier, discriminator, tagset)
 
     def parameters(self) -> list[Parameter]:
@@ -240,12 +243,6 @@ class MweTagger:
 
     def feature_parameters(self) -> list[Parameter]:
         return self.extractor.parameters()
-
-    def classifier_parameters(self) -> list[Parameter]:
-        return self.classifier.parameters()
-
-    def discriminator_parameters(self) -> list[Parameter]:
-        return [] if self.discriminator is None else self.discriminator.parameters()
 
     def forward(self, sentence: Sentence,
                 lam: float | None = None) -> tuple[Tensor, Tensor | None]:
@@ -311,39 +308,65 @@ class MweTagger:
 
     @classmethod
     def load(cls, path) -> "MweTagger":
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("format") != CHECKPOINT_FORMAT:
+        """Read a checkpoint written by ``save``; CheckpointError if invalid.
+
+        Checked: format and version, the config, duplicate-free
+        inventories, and exactly the wired parameters with their wired
+        shapes and finite values.
+        """
+        try:
+            with open(path, encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except ValueError as err:
+            raise CheckpointError(f"{path} is not JSON: {err}") from err
+        if not isinstance(payload, dict) \
+                or payload.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
         if payload.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint version {payload.get('version')}")
-        config = ModelConfig(**payload["config"])
-        config.validate()
-        vocab = {form: i for i, form in enumerate(payload["vocab"])}
-        tagset = payload["tagset"]
-        languages = payload["languages"]
+        try:
+            config = ModelConfig(**payload.get("config"))
+            config.validate()
+        except (TypeError, ValueError) as err:
+            raise CheckpointError(f"bad config: {err}") from err
+        vocab, tagset, languages = (_inventory(payload, key)
+                                    for key in ("vocab", "tagset", "languages"))
+        stored = payload.get("parameters")
+        if not isinstance(stored, dict):
+            raise CheckpointError("parameters must be an object")
+        model = cls._wire(config, {form: i for i, form in enumerate(vocab)},
+                          tagset, languages, _stored_source(stored))
+        unexpected = stored.keys() - model.state_arrays().keys()
+        if unexpected:
+            raise CheckpointError(f"unexpected parameters {sorted(unexpected)}")
+        return model
 
-        def param(name):
-            entry = payload["parameters"][name]
-            data = np.array(entry["data"], dtype=np.float64)
-            return Parameter(data.reshape(entry["shape"]), name)
 
-        extractor = FeatureExtractor(
-            vocab=vocab, embedding=param("extractor.embedding"),
-            hidden_w=param("extractor.hidden_w"),
-            hidden_b=param("extractor.hidden_b"), window=config.window)
-        inhibition = None
-        if config.use_lateral_inhibition:
-            inhibition = LateralInhibitionLayer(
-                param("classifier.li.weight"), param("classifier.li.bias"),
-                config.steepness)
-        classifier = TagClassifier(inhibition, param("classifier.head_w"),
-                                   param("classifier.head_b"))
-        discriminator = None
-        if config.use_adversarial:
-            discriminator = LanguageDiscriminator(
-                languages, param("discriminator.w1"), param("discriminator.b1"),
-                param("discriminator.w2"), param("discriminator.b2"),
-                config.lam)
-        return cls(config, extractor, classifier, discriminator, tagset)
+def _inventory(payload: dict, key: str) -> list[str]:
+    items = payload.get(key)
+    if not isinstance(items, list) or not all(isinstance(i, str) for i in items) \
+            or len(set(items)) != len(items):
+        raise CheckpointError(f"{key} must be a list of distinct strings")
+    return items
+
+
+def _stored_source(stored: dict):
+    """Parameter source for ``MweTagger._wire`` that reads a checkpoint."""
+
+    def param(name, shape, fill=None):
+        try:
+            saved_shape = tuple(stored[name]["shape"])
+            data = np.array(stored[name]["data"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as err:
+            raise CheckpointError(
+                f"parameter {name} is missing or malformed: {err!r}") from err
+        if saved_shape != shape or data.shape != (math.prod(shape),):
+            raise CheckpointError(
+                f"parameter {name}: {data.size} values of shape {saved_shape} "
+                f"do not match model shape {shape}")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"parameter {name} has non-finite values")
+        return Parameter(data.reshape(shape), name)
+
+    return param

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import Corpus, Sentence, encode_tags
+from .corpus import Corpus, Sentence, encode_tags, seen_lemma_keys
 from .evaluation import evaluate, predict_corpus
 from .model import MweTagger
 
@@ -198,6 +198,7 @@ def train(model: MweTagger, train_corpus: Corpus,
     n_batches = (len(sentences) + config.batch_size - 1) // config.batch_size
     total_steps = config.epochs * n_batches
     corpus_tokens = sum(len(s) for s in sentences)
+    seen = seen_lemma_keys(train_corpus) if dev_corpus is not None else None
     report = TrainingReport()
     step = 0
     for epoch in range(1, config.epochs + 1):
@@ -224,7 +225,7 @@ def train(model: MweTagger, train_corpus: Corpus,
                            if model.discriminator is not None else None))
         if dev_corpus is not None:
             result = evaluate(dev_corpus, predict_corpus(model, dev_corpus),
-                              train_corpus)
+                              seen)
             record.dev_global_f1 = result.global_scores.f1
             record.dev_unseen_f1 = result.unseen_scores.f1
             if (report.best_dev_global_f1 is None

@@ -85,7 +85,6 @@ def random_sentence(rng: np.random.Generator, sent_id="g",
         instances.append((CATEGORY_POOL[cat_b], [start + 1, start + 3]))
         available = [i for i in available
                      if i < start or i > start + 3]
-    cursor = 0
     remaining = available
     while remaining and len(instances) < 4 and rng.random() < 0.7:
         # Carve a contiguous run of free positions, keep a random subset:
@@ -102,7 +101,6 @@ def random_sentence(rng: np.random.Generator, sent_id="g",
         category = CATEGORY_POOL[rng.integers(len(CATEGORY_POOL))]
         instances.append((category, members))
         remaining = [i for i in remaining if i not in set(run)]
-        cursor += 1
     instances.sort(key=lambda inst: min(inst[1]))
     return make_sentence(forms, instances, sent_id=sent_id)
 

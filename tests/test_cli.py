@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import mweid
+from mweid import cli
 from mweid.cli import (EXIT_ALIGNMENT, EXIT_CONFIG, EXIT_GRADCHECK, EXIT_OK,
-                       EXIT_PARSE, main)
+                       EXIT_PARSE, EXIT_TRAIN, main)
 from mweid.corpus import parse_cupt, parse_cupt_file, serialize_corpus
 from mweid.model import ModelConfig, MweTagger
 from mweid.trainer import TrainerConfig, train
@@ -44,6 +45,18 @@ class TestTrain:
         (out / "junk").write_text("x")
         assert run(train_args(out)) == EXIT_CONFIG
         assert run(train_args(out, extra=["--force"])) == EXIT_OK
+
+    def test_failed_run_leaves_directory_retryable(self, tmp_path,
+                                                   monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("diverged")
+
+        out = tmp_path / "run"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "train", broken)
+            assert run(train_args(out)) == EXIT_TRAIN
+        assert not out.exists()
+        assert run(train_args(out)) == EXIT_OK
 
     def test_missing_train_file(self, tmp_path):
         args = ["train", "--train", f"RO={tmp_path}/absent.cupt",
@@ -161,6 +174,19 @@ class TestTag:
         bad.write_text("{}")
         assert run(["tag", str(bad), RO, str(tmp_path / "p.cupt")]) \
             == EXIT_CONFIG
+
+    def test_checkpoint_failing_its_checks_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        corpus = merge_corpora([(parse_cupt_file(RO), "RO")])
+        MweTagger.build(ModelConfig(), corpus).save(path)
+        payload = json.loads(path.read_text())
+        del payload["parameters"]["classifier.head_b"]
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "p.cupt"
+        assert run(["tag", str(path), RO, str(out)]) == EXIT_CONFIG
+        assert "bad checkpoint: parameter classifier.head_b is missing" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEval:

@@ -113,11 +113,7 @@ class TestCategory:
 
     def test_unknown_code_preserved(self):
         category = VmweCategory("WEIRD.cat")
-        assert not category.is_known
         assert str(category) == "WEIRD.cat"
-
-    def test_known_codes(self):
-        assert VmweCategory("IRV").is_known
 
     @pytest.mark.parametrize("code", ["", "A:B", "A;B"])
     def test_invalid_codes_rejected(self, code):

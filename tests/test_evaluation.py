@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mweid import corpus as corpus_mod
+from mweid import evaluation
 from mweid.corpus import Corpus
 from mweid.evaluation import (AlignmentMismatch, EvalResult, Scores,
                               TokenizationMismatch, evaluate, f1_score,
@@ -121,6 +123,23 @@ class TestEvaluate:
             make_sentence(["da", "foc"], [("LVC.cause", [1, 2])]))
         result = evaluate(gold, pred, self.train)
         assert eval_counts(result) == ((2, 2, 2), (1, 1, 1))
+
+    def test_extracts_each_sentence_once(self, monkeypatch):
+        calls = []
+        original = corpus_mod.extract_mwes
+
+        def counting(sentence):
+            calls.append(sentence)
+            return original(sentence)
+
+        monkeypatch.setattr(evaluation, "extract_mwes", counting)
+        monkeypatch.setattr(corpus_mod, "extract_mwes", counting)
+        gold = corpus_of(
+            make_sentence(["se", "gândi"], [("IRV", [1, 2])]),
+            make_sentence(["da", "foc", "azi"], [("LVC.cause", [1, 2])]),
+            make_sentence(["nimic"]))
+        evaluate(gold, gold, self.train)
+        assert len(calls) == 2 * len(gold) + len(self.train)
 
     def test_unseen_is_category_insensitive(self):
         gold = corpus_of(make_sentence(["Se", "Gândi"], [("VID", [1, 2])]))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mweid import autodiff as ad
 from mweid.autodiff import Parameter, backward, finite_difference_check, zero_grads
-from mweid.inhibition import (LateralInhibitionLayer, NotSquare,
+from mweid.inhibition import (INITIAL_BIAS, LateralInhibitionLayer, NotSquare,
                               heaviside_surrogate, zero_diag)
 
 
@@ -180,7 +180,8 @@ class TestRelaxed:
 
 class TestBuild:
     def test_initial_gates_open(self):
-        layer = LateralInhibitionLayer.build(4)
+        layer = LateralInhibitionLayer(Parameter(np.zeros((4, 4)), "w"),
+                                       Parameter(np.full(4, INITIAL_BIAS), "b"))
         x = ad.tensor(np.random.default_rng(0).uniform(-1, 1, (2, 4)))
         assert np.array_equal(layer.forward(x).data, x.data)
 

@@ -1,6 +1,7 @@
 """Model assembly: features, forward paths, prediction, checkpoints."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -200,3 +201,88 @@ class TestCheckpoint:
         state["extractor.hidden_b"] = np.zeros(99)
         with pytest.raises(CheckpointError):
             model.load_state_arrays(state)
+
+    @pytest.mark.parametrize("use_li", [True, False])
+    @pytest.mark.parametrize("use_adv", [True, False])
+    def test_load_rebuilds_every_head_combination(self, tiny_corpus, tmp_path,
+                                                   use_li, use_adv):
+        model = MweTagger.build(small_config(seed=3,
+                                             use_lateral_inhibition=use_li,
+                                             use_adversarial=use_adv),
+                                tiny_corpus)
+        path = tmp_path / "model.json"
+        model.save(path)
+        clone = MweTagger.load(path)
+        assert [(p.name, p.shape) for p in clone.parameters()] == \
+            [(p.name, p.shape) for p in model.parameters()]
+        assert clone.extractor.vocab == model.extractor.vocab
+        assert clone.tagset == model.tagset
+        assert (clone.classifier.inhibition is None) == (not use_li)
+        assert (clone.discriminator is None) == (not use_adv)
+        if use_adv:
+            assert clone.discriminator.languages == model.discriminator.languages
+        for s in tiny_corpus:
+            for original, reloaded in zip(model.forward(s), clone.forward(s)):
+                if original is None:
+                    assert reloaded is None
+                else:
+                    assert np.array_equal(original.data, reloaded.data)
+
+
+def _drop_param(payload):
+    del payload["parameters"]["classifier.head_b"]
+    return payload
+
+
+def _extra_param(payload):
+    payload["parameters"]["classifier.extra"] = {"shape": [1], "data": [0.0]}
+    return payload
+
+
+def _wrong_shape(payload):
+    payload["parameters"]["extractor.hidden_b"]["shape"] = [2, 3]
+    return payload
+
+
+def _nan_value(payload):
+    payload["parameters"]["classifier.head_w"]["data"][0] = math.nan
+    return payload
+
+
+def _unknown_config_key(payload):
+    payload["config"]["bogus"] = 1
+    return payload
+
+
+def _invalid_config_value(payload):
+    payload["config"]["hidden_dim"] = 0
+    return payload
+
+
+def _duplicate_vocab(payload):
+    payload["vocab"][3] = payload["vocab"][2]
+    return payload
+
+
+def _short_data(payload):
+    payload["parameters"]["extractor.hidden_b"]["data"].pop()
+    return payload
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_param, "classifier.head_b is missing"),
+    (_extra_param, "unexpected parameters"),
+    (_wrong_shape, "do not match model shape"),
+    (_nan_value, "non-finite"),
+    (_unknown_config_key, "bad config"),
+    (_invalid_config_value, "bad config"),
+    (lambda payload: [payload], "not a mweid-checkpoint"),
+    (_duplicate_vocab, "vocab must be a list of distinct"),
+    (_short_data, "do not match model shape"),
+])
+def test_corrupted_checkpoint_rejected(tiny_corpus, tmp_path, corrupt, message):
+    path = tmp_path / "model.json"
+    MweTagger.build(small_config(), tiny_corpus).save(path)
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    with pytest.raises(CheckpointError, match=message):
+        MweTagger.load(path)

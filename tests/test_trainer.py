@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from mweid import autodiff as ad
+from mweid import corpus as corpus_mod
+from mweid import evaluation, trainer
 from mweid.corpus import Corpus
 from mweid.model import ModelConfig, MweTagger, UnknownLanguage
 from mweid.trainer import (EmptyBatch, TrainerConfig, gold_tag_ids, lambda_at,
@@ -102,14 +104,14 @@ class TestTrainStep:
         tag_logits, lang_logits = model.forward(s, lam=1.0)
         ad.backward(ad.softmax_cross_entropy(tag_logits,
                                              gold_tag_ids(model, s)))
-        for p in model.discriminator_parameters():
+        for p in model.discriminator.parameters():
             assert np.array_equal(p.grad, np.zeros_like(p.grad)), p.name
 
         ad.zero_grads(params)
         tag_logits, lang_logits = model.forward(s, lam=1.0)
         lang_id = model.discriminator.language_id(s.language)
         ad.backward(ad.softmax_cross_entropy(lang_logits, [lang_id]))
-        for p in model.classifier_parameters():
+        for p in model.classifier.parameters():
             assert np.array_equal(p.grad, np.zeros_like(p.grad)), p.name
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
@@ -198,6 +200,22 @@ class TestTrainLoop:
         assert report.best_state is not None
         assert report.best_dev_global_f1 == max(
             r.dev_global_f1 for r in report.epochs)
+
+    def test_seen_keys_computed_once_per_run(self, monkeypatch):
+        calls = []
+        original = corpus_mod.seen_lemma_keys
+
+        def counting(corpus):
+            calls.append(corpus)
+            return original(corpus)
+
+        monkeypatch.setattr(trainer, "seen_lemma_keys", counting)
+        monkeypatch.setattr(evaluation, "seen_lemma_keys", counting)
+        corpus = training_corpus()
+        report = train(build(corpus), corpus, corpus,
+                       TrainerConfig(alpha=0.3, epochs=3, batch_size=2, seed=1))
+        assert all(r.dev_global_f1 is not None for r in report.epochs)
+        assert len(calls) == 1
 
     def test_shuffle_off_is_sequential_and_deterministic(self):
         corpus = training_corpus()
