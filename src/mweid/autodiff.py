@@ -210,24 +210,32 @@ def concat(parts: list[Tensor]) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table`` by integer id."""
+    """Gather rows of ``table`` by integer id.
+
+    Flat ids ``[n]`` give ``[n, e]``. An id matrix ``[n, k]`` gives
+    ``[n, k * e]``: row i is the k table rows of ``ids[i]`` side by side,
+    the same as concatenating k flat lookups, one per column.
+    """
     _require_2d(table, "embedding_lookup")
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeMismatch("embedding_lookup expects a flat id list")
-    vocab = table.shape[0]
+    if ids.ndim not in (1, 2):
+        raise ShapeMismatch(
+            f"embedding_lookup expects a 1-d or 2-d id array, got {ids.shape}")
+    vocab, width = table.shape
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
         raise IndexOutOfVocab(
             f"ids must lie in [0, {vocab}), got range "
             f"[{ids.min()}, {ids.max()}]")
-    table_shape = table.shape
+    flat = ids.reshape(-1)
+    out_shape = (len(ids), width * (ids.shape[1] if ids.ndim == 2 else 1))
 
     def vjp(g):
-        grad = np.zeros(table_shape)
-        np.add.at(grad, ids, g)
+        grad = np.zeros((vocab, width))
+        np.add.at(grad, flat, g.reshape(flat.size, width))
         return grad
 
-    return _node(table.data[ids], ((table, vjp),), "embedding")
+    return _node(table.data[flat].reshape(out_shape), ((table, vjp),),
+                 "embedding")
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -24,7 +24,8 @@ import numpy as np
 from . import autodiff as ad
 from . import corpus as corpus_mod
 from . import inhibition
-from .corpus import CuptError, merge_corpora, parse_cupt_file, serialize_corpus
+from .corpus import (CuptError, _write_atomic, merge_corpora, parse_cupt_file,
+                     serialize_corpus)
 from .evaluation import (AlignmentMismatch, TokenizationMismatch, evaluate,
                          format_table, predict_corpus)
 from .model import CheckpointError, ModelConfig, MweTagger
@@ -136,6 +137,14 @@ def _resolve_train_config(args) -> dict:
     return config
 
 
+def _json_text(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_text(path, text: str) -> None:
+    _write_atomic(path, lambda handle: handle.write(text))
+
+
 def cmd_train(args) -> int:
     config = _resolve_train_config(args)
     out_dir = Path(config["out_dir"])
@@ -150,6 +159,7 @@ def cmd_train(args) -> int:
         trainer_config = TrainerConfig(**config["trainer"])
         model_config.validate()
         trainer_config.validate()
+        config_text = _json_text(config)
     except (TypeError, ValueError) as err:
         raise CliError(f"bad configuration: {err}", EXIT_CONFIG) from err
 
@@ -163,16 +173,13 @@ def cmd_train(args) -> int:
 
     # Written only now, so a failed run leaves the directory as it was.
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(out_dir / "config.json", config_text)
     model.save(out_dir / "checkpoint.json")
     if report.best_state is not None:
         model.load_state_arrays(report.best_state)
         model.save(out_dir / "checkpoint_best.json")
-    (out_dir / "report.jsonl").write_text(report.to_jsonl(), encoding="utf-8")
-    (out_dir / "summary.json").write_text(
-        json.dumps(report.summary(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    _write_text(out_dir / "report.jsonl", report.to_jsonl())
+    _write_text(out_dir / "summary.json", _json_text(report.summary()))
     last = report.epochs[-1]
     print(f"trained {trainer_config.epochs} epochs; "
           f"final tag loss {last.tag_loss:.6f}; outputs in {out_dir}")
@@ -192,7 +199,7 @@ def cmd_tag(args) -> int:
     if output.exists() and not args.force:
         raise CliError(f"output file {output} exists (use --force)",
                        EXIT_CONFIG)
-    output.write_text(serialize_corpus(predicted), encoding="utf-8")
+    _write_text(output, serialize_corpus(predicted))
     print(f"tagged {len(predicted)} sentences -> {output}")
     return EXIT_OK
 
@@ -213,9 +220,7 @@ def cmd_eval(args) -> int:
         raise CliError(f"alignment error: {err}", EXIT_ALIGNMENT) from err
     print(format_table(result, label=args.label))
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(result.as_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        _write_text(args.report, _json_text(result.as_dict()))
     return EXIT_OK
 
 
@@ -248,6 +253,12 @@ def _gradcheck_cases(corrupt_adjoint: bool):
     ids = np.array([0, 2, 4, 2])
     cases.append(("embedding", [table],
                   lambda: ad.sum_all(ad.sigmoid(ad.embedding_lookup(table, ids)))))
+
+    # Window rows as the extractor gathers them: repeated ids and the pad id 0.
+    window_ids = np.array([[0, 2, 4], [2, 4, 4], [4, 0, 0], [1, 2, 1]])
+    cases.append(("embedding_window", [table],
+                  lambda: ad.sum_all(ad.sigmoid(
+                      ad.embedding_lookup(table, window_ids)))))
 
     logits_w = p((3, 4), "logits_w")
     x_fixed = ad.tensor(rng.uniform(-1, 1, size=(2, 3)))

@@ -10,8 +10,10 @@ training.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 CUPT_COLUMNS = ("ID", "FORM", "LEMMA", "UPOS", "XPOS", "FEATS",
                 "HEAD", "DEPREL", "DEPS", "MISC", "PARSEME:MWE")
@@ -330,6 +332,24 @@ def parse_cupt_file(path, language: str | None = None) -> Corpus:
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     return parse_cupt(text, language=language, source=str(path))
+
+
+def _write_atomic(path, write) -> None:
+    """Create or replace the text file ``path`` all at once.
+
+    ``write(handle)`` fills a new file in the same directory, which then
+    takes the place of ``path``; if ``write`` raises, ``path`` is left as
+    it was and the new file is removed.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(temporary, "x", encoding="utf-8") as handle:
+            write(handle)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def serialize_sentence(sentence: Sentence) -> str:

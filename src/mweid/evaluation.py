@@ -14,8 +14,14 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
+import numpy as np
+
 from .corpus import (Corpus, MweInstance, Sentence, decode_tags, extract_mwes,
                      seen_lemma_keys, with_instances)
+
+# Tokens tagged together by predict_corpus. Larger chunks save little time
+# and raise peak memory: the pooling matrix grows with sentences x tokens.
+CHUNK_TOKENS = 512
 
 
 class TokenizationMismatch(ValueError):
@@ -157,13 +163,38 @@ def evaluate(gold: Corpus, pred: Corpus, train: Corpus | set,
 
 
 def predict_corpus(model, corpus: Corpus) -> Corpus:
-    """Tag every sentence and rewrite its MWE column from the decoder."""
-    sentences = []
-    for sentence in corpus:
-        tags = model.predict_tags(sentence)
+    """Tag every sentence and rewrite its MWE column from the decoder.
+
+    Consecutive sentences are tagged together, up to CHUNK_TOKENS tokens
+    at a time (a longer sentence alone); ties pick the lowest tag index.
+    """
+    sentences = corpus.sentences
+    if not sentences:
+        return corpus
+    encoded = model.extractor.encode(sentences)
+    tag_ids = []
+    for chunk in _chunks(encoded.offsets, CHUNK_TOKENS):
+        tag_logits, _ = model.forward(encoded.select(chunk))
+        tag_ids.append(tag_logits.data.argmax(axis=1))
+    tag_ids = np.concatenate(tag_ids)
+    predicted = []
+    for sentence, start, end in zip(sentences, encoded.offsets,
+                                    encoded.offsets[1:]):
+        tags = [model.tagset[i] for i in tag_ids[start:end]]
         instances = decode_tags(tags, lemmas=sentence.lemmas())
-        sentences.append(with_instances(sentence, instances))
-    return Corpus(sentences=tuple(sentences), source_files=corpus.source_files)
+        predicted.append(with_instances(sentence, instances))
+    return Corpus(sentences=tuple(predicted), source_files=corpus.source_files)
+
+
+def _chunks(offsets, max_tokens: int):
+    """Ranges of consecutive sentence indices with at most ``max_tokens``
+    tokens together; a longer sentence forms a range of its own."""
+    first = 0
+    for last in range(1, len(offsets) - 1):
+        if offsets[last + 1] - offsets[first] > max_tokens:
+            yield range(first, last)
+            first = last
+    yield range(first, len(offsets) - 1)
 
 
 def format_table(result: EvalResult, label: str = "model") -> str:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .corpus import Corpus, Sentence, extract_mwes
+from .corpus import Corpus, Sentence, _write_atomic, extract_mwes
 from .inhibition import INITIAL_BIAS, LateralInhibitionLayer
 
 PAD_ID = 0
@@ -101,6 +101,45 @@ def build_languages(corpus: Corpus) -> list[str]:
     return sorted({s.language for s in corpus if s.language is not None})
 
 
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """Sentences encoded as one block of token rows.
+
+    ``windows[i]`` holds the vocabulary ids of token i's context window,
+    ``PAD_ID`` beyond its sentence's edges; sentence b owns the rows
+    ``offsets[b]:offsets[b + 1]``. Training fills in ``tags``, the gold
+    tag id of each token, and ``languages``, the language id of each
+    sentence. ``len()`` counts tokens, as it does for a Sentence.
+    """
+
+    windows: np.ndarray
+    offsets: np.ndarray
+    tags: np.ndarray | None = None
+    languages: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.windows)
+
+    def select(self, indices) -> "Batch":
+        """The sentences at ``indices``, in that order."""
+        indices = np.asarray(indices, dtype=np.int64)
+        starts = self.offsets[indices]
+        lengths = self.offsets[indices + 1] - starts
+        offsets = np.cumsum(np.concatenate(([0], lengths)))
+        rows = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return Batch(self.windows[rows], offsets,
+                     None if self.tags is None else self.tags[rows],
+                     None if self.languages is None else self.languages[indices])
+
+    def pooling(self) -> np.ndarray:
+        """[B, N] matrix that averages each sentence's token rows."""
+        lengths = np.diff(self.offsets)
+        matrix = np.zeros((len(lengths), len(self)))
+        matrix[np.repeat(np.arange(len(lengths)), lengths), np.arange(len(self))] \
+            = np.repeat(1.0 / lengths, lengths)
+        return matrix
+
+
 class FeatureExtractor:
     """Embedding table + context window + one relu feed-forward layer."""
 
@@ -119,16 +158,23 @@ class FeatureExtractor:
         return np.array([self.vocab.get(t.form, UNK_ID) for t in sentence.tokens],
                         dtype=np.int64)
 
-    def features(self, sentence: Sentence) -> Tensor:
-        """One hidden-width row per token; windows padded at the edges."""
-        ids = self.token_ids(sentence)
+    def encode(self, sentences) -> Batch:
+        """The sentences as one Batch of window-id rows."""
+        offsets = np.cumsum([0] + [len(s) for s in sentences])
+        ids = np.concatenate([self.token_ids(s) for s in sentences])
+        owner = np.repeat(np.arange(len(sentences)), np.diff(offsets))
         w = self.window
-        padded = np.concatenate([np.full(w, PAD_ID, dtype=np.int64), ids,
-                                 np.full(w, PAD_ID, dtype=np.int64)])
-        n = len(ids)
-        slices = [ad.embedding_lookup(self.embedding, padded[offset:offset + n])
-                  for offset in range(2 * w + 1)]
-        window = slices[0] if len(slices) == 1 else ad.concat(slices)
+        positions = np.arange(len(ids))[:, None] + np.arange(-w, w + 1)
+        inside = ((positions >= offsets[owner, None])
+                  & (positions < offsets[owner + 1, None]))
+        windows = np.where(inside, ids[np.clip(positions, 0, len(ids) - 1)],
+                           PAD_ID)
+        return Batch(windows, offsets)
+
+    def features(self, sentence: Sentence | Batch) -> Tensor:
+        """One hidden-width row per token; windows padded at sentence edges."""
+        batch = sentence if isinstance(sentence, Batch) else self.encode([sentence])
+        window = ad.embedding_lookup(self.embedding, batch.windows)
         return ad.relu(ad.add(ad.matmul(window, self.hidden_w), self.hidden_b))
 
 
@@ -244,18 +290,22 @@ class MweTagger:
     def feature_parameters(self) -> list[Parameter]:
         return self.extractor.parameters()
 
-    def forward(self, sentence: Sentence,
+    def forward(self, sentence: Sentence | Batch,
                 lam: float | None = None) -> tuple[Tensor, Tensor | None]:
         """Tag logits [n, |tagset|] and, if adversarial, language logits.
 
-        The reversal coefficient only shapes gradients; forward values
-        are identical for every lam.
+        Takes one sentence or a Batch of them: the batch's n token rows
+        pass through each layer together, and mean pooling gives one
+        language-logit row per sentence. The reversal coefficient only
+        shapes gradients; forward values are identical for every lam.
         """
-        features = self.extractor.features(sentence)
+        batch = sentence if isinstance(sentence, Batch) \
+            else self.extractor.encode([sentence])
+        features = self.extractor.features(batch)
         tag_logits = self.classifier.logits(features)
         lang_logits = None
         if self.discriminator is not None:
-            pooled = ad.mean(features, axis=0)
+            pooled = ad.matmul(ad.tensor(batch.pooling()), features)
             lang_logits = self.discriminator.logits(pooled, lam)
         return tag_logits, lang_logits
 
@@ -283,10 +333,11 @@ class MweTagger:
             param.data = value.astype(np.float64).copy()
 
     def save(self, path) -> None:
-        """Write a versioned JSON checkpoint.
+        """Write a versioned JSON checkpoint, atomically.
 
         Floats are serialized via repr, which round-trips float64
-        exactly: reloading reproduces predictions bitwise.
+        exactly: reloading reproduces predictions bitwise. A non-finite
+        parameter raises ValueError and leaves ``path`` as it was.
         """
         payload = {
             "format": CHECKPOINT_FORMAT,
@@ -302,9 +353,12 @@ class MweTagger:
                 for p in self.parameters()
             },
         }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+
+        def write(handle):
+            json.dump(payload, handle, allow_nan=False)
             handle.write("\n")
+
+        _write_atomic(path, write)
 
     @classmethod
     def load(cls, path) -> "MweTagger":
@@ -332,6 +386,8 @@ class MweTagger:
             raise CheckpointError(f"bad config: {err}") from err
         vocab, tagset, languages = (_inventory(payload, key)
                                     for key in ("vocab", "tagset", "languages"))
+        if tuple(vocab[:len(_RESERVED)]) != _RESERVED:
+            raise CheckpointError(f"vocab must start with {', '.join(_RESERVED)}")
         stored = payload.get("parameters")
         if not isinstance(stored, dict):
             raise CheckpointError("parameters must be an object")

@@ -19,20 +19,34 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .corpus import Corpus, Sentence, encode_tags, seen_lemma_keys
 from .evaluation import evaluate, predict_corpus
-from .model import MweTagger
+from .model import Batch, MweTagger
 
 SCHEDULES = ("constant", "dann_ramp")
 
 
 class EmptyBatch(ValueError):
     """train_step received no sentences."""
+
+
+class TrainingDiverged(ArithmeticError):
+    """Training produced a non-finite loss or parameter.
+
+    ``epoch`` and ``step`` (counted from 1 over the whole run) locate the
+    step after which it was found.
+    """
+
+    def __init__(self, what: str, epoch: int, step: int):
+        super().__init__(f"training diverged at epoch {epoch}, step {step}: "
+                         f"{what}")
+        self.epoch = epoch
+        self.step = step
 
 
 @dataclass
@@ -82,7 +96,7 @@ class TrainingReport:
 
     def to_jsonl(self) -> str:
         """One epoch per line, for appending-friendly log files."""
-        return "".join(json.dumps(asdict(record)) + "\n"
+        return "".join(json.dumps(asdict(record), allow_nan=False) + "\n"
                        for record in self.epochs)
 
     def summary(self) -> dict:
@@ -126,50 +140,47 @@ def _clip_gradients(params, max_norm: float) -> None:
             param.grad = param.grad * factor
 
 
-def train_step(model: MweTagger, batch: list[Sentence], alpha: float,
+def encode(model: MweTagger, sentences) -> Batch:
+    """The sentences as one Batch with gold tag ids and, when the model has
+    a discriminator, language ids."""
+    batch = model.extractor.encode(sentences)
+    languages = None
+    if model.discriminator is not None:
+        languages = np.array([model.discriminator.language_id(s.language)
+                              for s in sentences], dtype=np.int64)
+    return replace(batch, languages=languages,
+                   tags=np.concatenate([gold_tag_ids(model, s) for s in sentences]))
+
+
+def train_step(model: MweTagger, batch: list[Sentence] | Batch, alpha: float,
                lam: float | None = None,
                clip_grad: float | None = None) -> tuple[float, float, int]:
     """One SGD step on a batch; returns (tag loss, language loss, #correct
     language predictions).
 
-    The two losses are backpropagated together: disjoint paths keep the
-    classifier free of language gradient and the discriminator free of
-    tag gradient, while the reversal layer hands the extractor the
-    negated, lam-scaled discriminator gradient.
+    ``batch`` is a list of sentences or their ``encode``. The tag loss is
+    the mean cross-entropy over all the batch's tokens, the language loss
+    the mean over its sentences. The two losses are backpropagated
+    together: disjoint paths keep the classifier free of language gradient
+    and the discriminator free of tag gradient, while the reversal layer
+    hands the extractor the negated, lam-scaled discriminator gradient.
     """
-    if not batch:
-        raise EmptyBatch("train_step needs at least one sentence")
+    if not isinstance(batch, Batch):
+        if not batch:
+            raise EmptyBatch("train_step needs at least one sentence")
+        batch = encode(model, batch)
     params = model.parameters()
     ad.zero_grads(params)
 
-    total_tokens = sum(len(s) for s in batch)
-    tag_terms = []
-    lang_terms = []
-    lang_correct = 0
-    for sentence in batch:
-        tag_logits, lang_logits = model.forward(sentence, lam=lam)
-        token_ce = ad.softmax_cross_entropy(tag_logits,
-                                            gold_tag_ids(model, sentence))
-        tag_terms.append(ad.scale(token_ce, len(sentence) / total_tokens))
-        if model.discriminator is not None:
-            lang_id = model.discriminator.language_id(sentence.language)
-            lang_terms.append(ad.softmax_cross_entropy(lang_logits, [lang_id]))
-            if int(lang_logits.data.argmax()) == lang_id:
-                lang_correct += 1
-
-    loss_y = tag_terms[0]
-    for term in tag_terms[1:]:
-        loss_y = ad.add(loss_y, term)
-    if lang_terms:
-        loss_lg = lang_terms[0]
-        for term in lang_terms[1:]:
-            loss_lg = ad.add(loss_lg, term)
-        loss_lg = ad.scale(loss_lg, 1.0 / len(batch))
+    tag_logits, lang_logits = model.forward(batch, lam=lam)
+    loss_y = ad.softmax_cross_entropy(tag_logits, batch.tags)
+    total, lang_loss, lang_correct = loss_y, 0.0, 0
+    if lang_logits is not None:
+        loss_lg = ad.softmax_cross_entropy(lang_logits, batch.languages)
         total = ad.add(loss_y, loss_lg)
         lang_loss = float(loss_lg.data)
-    else:
-        total = loss_y
-        lang_loss = 0.0
+        lang_correct = int(np.sum(lang_logits.data.argmax(axis=1)
+                                  == batch.languages))
 
     ad.backward(total)
     if clip_grad is not None:
@@ -194,10 +205,10 @@ def train(model: MweTagger, train_corpus: Corpus,
     if not sentences:
         raise EmptyBatch("training corpus is empty")
 
+    data = encode(model, sentences)
     rng = np.random.default_rng(config.seed)
     n_batches = (len(sentences) + config.batch_size - 1) // config.batch_size
     total_steps = config.epochs * n_batches
-    corpus_tokens = sum(len(s) for s in sentences)
     seen = seen_lemma_keys(train_corpus) if dev_corpus is not None else None
     report = TrainingReport()
     step = 0
@@ -208,18 +219,23 @@ def train(model: MweTagger, train_corpus: Corpus,
         lang_loss_sum = 0.0
         lang_correct = 0
         for start in range(0, len(sentences), config.batch_size):
-            batch = [sentences[i] for i in order[start:start + config.batch_size]]
+            indices = order[start:start + config.batch_size]
+            batch = data.select(indices)
             progress = step / (total_steps - 1) if total_steps > 1 else 1.0
             lam = lambda_at(config.lambda_schedule, progress, config.lam)
             tag_loss, lang_loss, correct = train_step(
                 model, batch, config.alpha, lam=lam, clip_grad=config.clip_grad)
-            tag_loss_sum += tag_loss * sum(len(s) for s in batch)
-            lang_loss_sum += lang_loss * len(batch)
-            lang_correct += correct
             step += 1
+            if not math.isfinite(tag_loss + lang_loss):
+                raise TrainingDiverged("the loss is not finite", epoch, step)
+            tag_loss_sum += tag_loss * len(batch)
+            lang_loss_sum += lang_loss * len(indices)
+            lang_correct += correct
+        if not all(np.isfinite(p.data).all() for p in model.parameters()):
+            raise TrainingDiverged("a parameter is not finite", epoch, step)
         record = EpochRecord(
             epoch=epoch,
-            tag_loss=tag_loss_sum / corpus_tokens,
+            tag_loss=tag_loss_sum / len(data),
             lang_loss=lang_loss_sum / len(sentences),
             lang_accuracy=(lang_correct / len(sentences)
                            if model.discriminator is not None else None))

@@ -61,6 +61,31 @@ class TestForward:
         table = ad.tensor(np.zeros((3, 2)))
         with pytest.raises(IndexOutOfVocab):
             ad.embedding_lookup(table, [3])
+        with pytest.raises(IndexOutOfVocab):
+            ad.embedding_lookup(table, [[0, 1], [2, 3]])
+
+    def test_window_lookup_equals_concat_of_column_lookups(self):
+        # The 2-d gather against its reference: one flat lookup per
+        # column, concatenated. Forward equal bitwise; backward sums the
+        # same adjoint rows in another order, so it agrees to 1e-12 of
+        # the largest entry.
+        rng = np.random.default_rng(8)
+        ids = rng.integers(0, 6, size=(40, 5))
+        ids[::3, 0] = 0  # the pad id, many times over
+        weight = rng.standard_normal((40, 5 * 3))
+        table = Parameter(rng.standard_normal((6, 3)), "table")
+
+        gathered = ad.embedding_lookup(table, ids)
+        ad.backward(ad.sum_all(ad.mul(gathered, ad.tensor(weight))))
+        batched_grad = table.grad.copy()
+
+        table.zero_grad()
+        reference = ad.concat([ad.embedding_lookup(table, ids[:, k])
+                               for k in range(ids.shape[1])])
+        ad.backward(ad.sum_all(ad.mul(reference, ad.tensor(weight))))
+        assert np.array_equal(gathered.data, reference.data)
+        assert np.abs(batched_grad - table.grad).max() \
+            <= 1e-12 * np.abs(table.grad).max()
 
     def test_cross_entropy_uniform_is_ln3(self):
         for label in range(3):

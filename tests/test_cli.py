@@ -9,7 +9,8 @@ import mweid
 from mweid import cli
 from mweid.cli import (EXIT_ALIGNMENT, EXIT_CONFIG, EXIT_GRADCHECK, EXIT_OK,
                        EXIT_PARSE, EXIT_TRAIN, main)
-from mweid.corpus import parse_cupt, parse_cupt_file, serialize_corpus
+from mweid.corpus import (_write_atomic, parse_cupt, parse_cupt_file,
+                          serialize_corpus)
 from mweid.model import ModelConfig, MweTagger
 from mweid.trainer import TrainerConfig, train
 from mweid.corpus import merge_corpora
@@ -57,6 +58,21 @@ class TestTrain:
             assert run(train_args(out)) == EXIT_TRAIN
         assert not out.exists()
         assert run(train_args(out)) == EXIT_OK
+
+    def test_divergence_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            assert run(["train", "--train", f"RO={RO}", "--train", f"FR={FR}",
+                        "--out", str(out), "--epochs", "3",
+                        "--set", "trainer.alpha=10000"]) == EXIT_TRAIN
+        assert "training diverged at epoch" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_setting_is_a_config_error(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(train_args(out, extra=["--set", "model.lam=Infinity"])) \
+            == EXIT_CONFIG
+        assert not out.exists()
 
     def test_missing_train_file(self, tmp_path):
         args = ["train", "--train", f"RO={tmp_path}/absent.cupt",
@@ -262,3 +278,26 @@ class TestDeterminism:
         a, b = tmp_path / "one", tmp_path / "two"
         for file_name in ("checkpoint.json", "report.jsonl", "summary.json"):
             assert (a / file_name).read_bytes() == (b / file_name).read_bytes()
+
+
+class TestAtomicWrite:
+    def test_failing_writer_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        path.write_text("previous\n")
+
+        def half_then_fail(handle):
+            handle.write("{\"epochs\": ")
+            handle.flush()
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            _write_atomic(path, half_then_fail)
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
+    def test_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "out.cupt"
+        path.write_text("a much longer previous content\n")
+        _write_atomic(path, lambda handle: handle.write("new\n"))
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.cupt"]

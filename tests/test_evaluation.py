@@ -11,7 +11,9 @@ from mweid.corpus import Corpus
 from mweid.evaluation import (AlignmentMismatch, EvalResult, Scores,
                               TokenizationMismatch, evaluate, f1_score,
                               format_table, match_mwes, round2)
-from conftest import corpus_of, make_sentence
+from mweid.model import ModelConfig, MweTagger
+from mweid.trainer import TrainerConfig, train
+from conftest import corpus_of, make_sentence, random_sentence
 
 
 def percentages(scores: Scores):
@@ -213,3 +215,44 @@ class TestReporting:
         assert payload["global"]["gold"] == 1
         assert payload["global"]["predicted"] == 0
         assert payload["global"]["f1"] == 0.0
+
+
+class TestPredictCorpus:
+    """Batched tagging against tagging each sentence alone."""
+
+    @staticmethod
+    def one_by_one(model, corpus):
+        return Corpus(sentences=tuple(
+            corpus_mod.with_instances(s, corpus_mod.decode_tags(
+                model.predict_tags(s), lemmas=s.lemmas())) for s in corpus),
+            source_files=corpus.source_files)
+
+    @staticmethod
+    def trained_model(corpus):
+        model = MweTagger.build(ModelConfig(seed=3), corpus)
+        train(model, corpus, None,
+              TrainerConfig(alpha=0.5, epochs=30, batch_size=4, seed=3))
+        return model
+
+    def test_fixtures(self, bilingual_corpus):
+        model = self.trained_model(bilingual_corpus)
+        predicted = evaluation.predict_corpus(model, bilingual_corpus)
+        assert predicted == self.one_by_one(model, bilingual_corpus)
+        assert any(corpus_mod.extract_mwes(s) for s in predicted)
+
+    def test_random_corpus_across_chunks(self):
+        rng = np.random.default_rng(21)
+        corpus = corpus_of(*[random_sentence(rng, sent_id=f"r{i}")
+                             for i in range(200)], language="RO")
+        assert sum(len(s) for s in corpus) > 2 * evaluation.CHUNK_TOKENS
+        model = self.trained_model(corpus)
+        predicted = evaluation.predict_corpus(model, corpus)
+        assert predicted == self.one_by_one(model, corpus)
+        assert any(corpus_mod.extract_mwes(s) for s in predicted)
+
+    def test_chunks_bound_tokens_and_cover_in_order(self):
+        offsets = np.cumsum([0, 3, 4, 2, 9, 1, 1])
+        chunks = list(evaluation._chunks(offsets, 6))
+        assert [list(c) for c in chunks] == [[0], [1, 2], [3], [4, 5]]
+        assert [list(c) for c in evaluation._chunks(offsets, 100)] \
+            == [[0, 1, 2, 3, 4, 5]]

@@ -269,6 +269,12 @@ def _short_data(payload):
     return payload
 
 
+def _swapped_reserved(payload):
+    vocab = payload["vocab"]
+    vocab[0], vocab[2] = vocab[2], vocab[0]
+    return payload
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_param, "classifier.head_b is missing"),
     (_extra_param, "unexpected parameters"),
@@ -279,6 +285,7 @@ def _short_data(payload):
     (lambda payload: [payload], "not a mweid-checkpoint"),
     (_duplicate_vocab, "vocab must be a list of distinct"),
     (_short_data, "do not match model shape"),
+    (_swapped_reserved, "vocab must start with <pad>, <unk>"),
 ])
 def test_corrupted_checkpoint_rejected(tiny_corpus, tmp_path, corrupt, message):
     path = tmp_path / "model.json"
@@ -286,3 +293,62 @@ def test_corrupted_checkpoint_rejected(tiny_corpus, tmp_path, corrupt, message):
     path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
     with pytest.raises(CheckpointError, match=message):
         MweTagger.load(path)
+
+
+def test_failed_save_keeps_previous_checkpoint(tiny_corpus, tmp_path):
+    path = tmp_path / "model.json"
+    model = MweTagger.build(small_config(), tiny_corpus)
+    model.save(path)
+    before = path.read_bytes()
+    # json.dump streams the parameters in order and stops at the NaN,
+    # midway through the file.
+    model.discriminator.b2.data[0] = math.nan
+    with pytest.raises(ValueError):
+        model.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+class TestBatch:
+    def test_windows_match_padded_sentences(self, tiny_corpus):
+        model = MweTagger.build(small_config(window=2), tiny_corpus)
+        sentences = [make_sentence(["ana"]), tiny_corpus.sentences[1],
+                     make_sentence(["le", "x", "ana", "are"])]
+        batch = model.extractor.encode(sentences)
+        assert batch.offsets.tolist() == [0, 1, 4, 8] and len(batch) == 8
+        rows = []
+        for s in sentences:
+            ids = model.extractor.token_ids(s)
+            padded = np.concatenate([[PAD_ID] * 2, ids, [PAD_ID] * 2])
+            rows += [padded[i:i + 5] for i in range(len(ids))]
+        assert np.array_equal(batch.windows, rows)
+
+    def test_select_and_pooling(self, tiny_corpus):
+        model = MweTagger.build(small_config(), tiny_corpus)
+        sentences = [make_sentence(["ana"] * n) for n in (1, 3, 2)]
+        batch = model.extractor.encode(sentences)
+        picked = batch.select([2, 0])
+        assert picked.offsets.tolist() == [0, 2, 3]
+        assert np.array_equal(picked.windows,
+                              np.concatenate([batch.windows[4:6],
+                                              batch.windows[0:1]]))
+        assert np.array_equal(picked.pooling(),
+                              [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+
+    def test_batched_forward_matches_each_sentence(self, tiny_corpus):
+        model = MweTagger.build(small_config(), tiny_corpus)
+        rng = np.random.default_rng(4)
+        for param in model.parameters():
+            param.data = rng.uniform(-1, 1, param.shape)
+        sentences = [make_sentence(["ana", "are", "mere", "le"]),
+                     make_sentence(["chat"]), tiny_corpus.sentences[0]]
+        tag_logits, lang_logits = model.forward(
+            model.extractor.encode(sentences))
+        start = 0
+        for row, s in enumerate(sentences):
+            tags, langs = model.forward(s)
+            np.testing.assert_allclose(tag_logits.data[start:start + len(s)],
+                                       tags.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(lang_logits.data[row:row + 1],
+                                       langs.data, rtol=0, atol=1e-12)
+            start += len(s)

@@ -1,6 +1,8 @@
 """Trainer: update routing, reversal arithmetic, loops, determinism."""
 
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +11,10 @@ from mweid import autodiff as ad
 from mweid import corpus as corpus_mod
 from mweid import evaluation, trainer
 from mweid.corpus import Corpus
-from mweid.model import ModelConfig, MweTagger, UnknownLanguage
-from mweid.trainer import (EmptyBatch, TrainerConfig, gold_tag_ids, lambda_at,
-                           train, train_step)
-from conftest import corpus_of, make_sentence
+from mweid.model import PAD_ID, ModelConfig, MweTagger, UnknownLanguage
+from mweid.trainer import (EmptyBatch, TrainerConfig, TrainingDiverged,
+                           gold_tag_ids, lambda_at, train, train_step)
+from conftest import corpus_of, make_sentence, random_sentence
 
 
 def training_corpus():
@@ -227,3 +229,117 @@ class TestTrainLoop:
         train(model_b, corpus, None, cfg)
         for p, q in zip(model_a.parameters(), model_b.parameters()):
             assert np.array_equal(p.data, q.data)
+
+
+class TestDivergence:
+    def test_non_finite_loss_stops_training(self):
+        corpus = training_corpus()
+        with pytest.raises(TrainingDiverged, match="loss is not finite") as err:
+            with np.errstate(all="ignore"):
+                train(build(corpus), corpus, None,
+                      TrainerConfig(alpha=1e4, epochs=5, batch_size=2))
+        assert err.value.epoch >= 1 and err.value.step >= 1
+
+    def test_non_finite_parameter_found_at_epoch_end(self):
+        # An embedding row that no training sentence reads keeps every
+        # loss finite; only the per-epoch parameter check sees it.
+        corpus = training_corpus()
+        model = build(corpus_of(*corpus, make_sentence(["unread"],
+                                                       language="RO")))
+        model.extractor.embedding.data[model.extractor.vocab["unread"]] = np.inf
+        with pytest.raises(TrainingDiverged, match="parameter") as err:
+            train(model, corpus, None,
+                  TrainerConfig(alpha=0.1, epochs=3, batch_size=2))
+        assert (err.value.epoch, err.value.step) == (1, 3)
+
+
+def test_tags_encoded_once_per_run(monkeypatch):
+    calls = []
+    original = corpus_mod.encode_tags
+
+    def counting(sentence):
+        calls.append(sentence)
+        return original(sentence)
+
+    monkeypatch.setattr(trainer, "encode_tags", counting)
+    corpus = training_corpus()
+    train(build(corpus), corpus, None,
+          TrainerConfig(alpha=0.3, epochs=4, batch_size=2, seed=1))
+    assert len(calls) == len(corpus)
+
+
+# --------------------------------------------------------------------------
+# The batched step against the per-sentence graph it replaced. This
+# reference lives here only: one forward per sentence (a lookup per window
+# column, then concat; mean pooling), the tag losses weighted by
+# len(s)/total_tokens and summed, the language losses averaged.
+# --------------------------------------------------------------------------
+
+def _reference_features(extractor, sentence):
+    ids = extractor.token_ids(sentence)
+    w, n = extractor.window, len(ids)
+    padded = np.concatenate([[PAD_ID] * w, ids, [PAD_ID] * w]).astype(np.int64)
+    slices = [ad.embedding_lookup(extractor.embedding, padded[k:k + n])
+              for k in range(2 * w + 1)]
+    window = slices[0] if len(slices) == 1 else ad.concat(slices)
+    return ad.relu(ad.add(ad.matmul(window, extractor.hidden_w),
+                          extractor.hidden_b))
+
+
+def _reference_gradients(model, batch, lam):
+    params = model.parameters()
+    ad.zero_grads(params)
+    total_tokens = sum(len(s) for s in batch)
+    tag_terms, lang_terms, correct = [], [], 0
+    for sentence in batch:
+        features = _reference_features(model.extractor, sentence)
+        token_ce = ad.softmax_cross_entropy(model.classifier.logits(features),
+                                            gold_tag_ids(model, sentence))
+        tag_terms.append(ad.scale(token_ce, len(sentence) / total_tokens))
+        if model.discriminator is not None:
+            lang_id = model.discriminator.language_id(sentence.language)
+            lang_logits = model.discriminator.logits(ad.mean(features, axis=0),
+                                                     lam)
+            lang_terms.append(ad.softmax_cross_entropy(lang_logits, [lang_id]))
+            correct += int(lang_logits.data.argmax()) == lang_id
+    loss_y = functools.reduce(ad.add, tag_terms)
+    total, lang_loss = loss_y, 0.0
+    if lang_terms:
+        loss_lg = ad.scale(functools.reduce(ad.add, lang_terms),
+                           1.0 / len(batch))
+        total, lang_loss = ad.add(loss_y, loss_lg), float(loss_lg.data)
+    ad.backward(total)
+    return ((float(loss_y.data), lang_loss, correct),
+            {p.name: p.grad.copy() for p in params})
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 16])
+@pytest.mark.parametrize("window", [0, 1, 2])
+@pytest.mark.parametrize("use_li", [False, True])
+@pytest.mark.parametrize("use_adv, lam", [(False, None), (True, 0.0),
+                                          (True, 0.7)])
+def test_batched_step_matches_per_sentence_reference(batch_size, window,
+                                                     use_li, use_adv, lam):
+    rng = np.random.default_rng(1000 * batch_size + 10 * window + use_li)
+    sentences = [replace(random_sentence(rng, sent_id=f"g{i}"),
+                         language=("RO", "FR")[int(rng.integers(2))])
+                 for i in range(24)]
+    corpus = corpus_of(*sentences)
+    model = build(corpus, window=window, use_lateral_inhibition=use_li,
+                  use_adversarial=use_adv, hidden_dim=8)
+    for param in model.parameters():  # gates that differ between tokens
+        param.data = rng.uniform(-0.5, 0.5, param.shape)
+    reference = build(corpus, window=window, use_lateral_inhibition=use_li,
+                      use_adversarial=use_adv, hidden_dim=8)
+    reference.load_state_arrays(model.state_arrays())
+    batch = [sentences[i] for i in rng.choice(len(sentences), batch_size,
+                                              replace=False)]
+
+    losses = train_step(model, batch, 0.1, lam=lam)
+    want_losses, want_grads = _reference_gradients(reference, batch, lam)
+    assert losses[2] == want_losses[2]
+    assert losses[:2] == pytest.approx(want_losses[:2], rel=1e-12, abs=0)
+    for param in model.parameters():
+        want = want_grads[param.name]
+        assert np.abs(param.grad - want).max() <= 1e-12 * np.abs(want).max(), \
+            param.name
