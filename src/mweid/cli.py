@@ -189,16 +189,16 @@ def cmd_train(args) -> int:
 def cmd_tag(args) -> int:
     if not Path(args.checkpoint).is_file():
         raise CliError(f"no such checkpoint: {args.checkpoint}", EXIT_CONFIG)
+    output = Path(args.output)
+    if output.exists() and not args.force:
+        raise CliError(f"output file {output} exists (use --force)",
+                       EXIT_CONFIG)
     try:
         model = MweTagger.load(args.checkpoint)
     except CheckpointError as err:
         raise CliError(f"bad checkpoint: {err}", EXIT_CONFIG) from err
     corpus, _ = _load_part(args.input)
     predicted = predict_corpus(model, corpus)
-    output = Path(args.output)
-    if output.exists() and not args.force:
-        raise CliError(f"output file {output} exists (use --force)",
-                       EXIT_CONFIG)
     _write_text(output, serialize_corpus(predicted))
     print(f"tagged {len(predicted)} sentences -> {output}")
     return EXIT_OK

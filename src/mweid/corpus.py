@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
 
 CUPT_COLUMNS = ("ID", "FORM", "LEMMA", "UPOS", "XPOS", "FEATS",
@@ -174,7 +175,6 @@ def _parse_mwe_field(raw: str, location: str) -> tuple[tuple[int, VmweCategory |
     if raw in ("*", "_", ""):
         return ()
     memberships = []
-    seen: set[tuple[int, str | None]] = set()
     for part in raw.split(";"):
         part = part.strip()
         if not part:
@@ -187,12 +187,10 @@ def _parse_mwe_field(raw: str, location: str) -> tuple[tuple[int, VmweCategory |
                 f"{location}: MWE id {head!r} is not an integer") from None
         if mwe_id < 1:
             raise BadMweColumn(f"{location}: MWE id must be positive, got {mwe_id}")
-        category = VmweCategory(cat) if sep else None
-        key = (mwe_id, str(category) if category else None)
-        if key in seen:
+        membership = (mwe_id, VmweCategory(cat) if sep else None)
+        if membership in memberships:
             raise BadMweColumn(f"{location}: duplicate membership {part!r}")
-        seen.add(key)
-        memberships.append((mwe_id, category))
+        memberships.append(membership)
     return tuple(memberships)
 
 
@@ -239,66 +237,12 @@ def _check_mwe_rules(tokens, location: str):
     return members, categories
 
 
-def _finish_sentence(comments, rows, language, source, start_line) -> Sentence:
-    location = f"{source}:{start_line}"
+def _parse_block(rows, language, source) -> Sentence:
+    """Build one sentence from its block's non-blank (line number, line) pairs."""
+    comments: list[str] = []
     tokens: list[Token] = []
     extra_rows: list[tuple[int, str]] = []
-    for kind, payload in rows:
-        if kind == "token":
-            tokens.append(payload)
-        else:
-            extra_rows.append((len(tokens), payload))
-    if not tokens:
-        raise MalformedLine(f"{location}: sentence block contains no token lines")
-    ids = [t.id for t in tokens]
-    if ids != list(range(1, len(ids) + 1)):
-        raise NonContiguousIds(f"{location}: token ids {ids} are not 1..{len(ids)}")
-    _check_mwe_rules(tokens, location)
-    sent_id = ""
-    text = ""
-    for line in comments:
-        body = line[1:].strip()
-        key, sep, value = body.partition("=")
-        if sep:
-            key = key.strip()
-            if key == "sent_id":
-                sent_id = value.strip()
-            elif key == "text":
-                text = value.strip()
-    return Sentence(tokens=tuple(tokens), sent_id=sent_id, text=text,
-                    language=language, comments=tuple(comments),
-                    extra_rows=tuple(extra_rows))
-
-
-def parse_cupt(text: str, language: str | None = None,
-               source: str = "<string>") -> Corpus:
-    """Parse CUPT text into a Corpus, stamping ``language`` on each sentence.
-
-    Sentence blocks are separated by blank lines; '#' lines are kept
-    verbatim; multiword-token ranges and empty nodes are preserved but
-    excluded from the token sequence. CRLF input is accepted.
-    """
-    sentences: list[Sentence] = []
-    comments: list[str] = []
-    rows: list[tuple[str, object]] = []
-    block_start = 1
-    in_block = False
-
-    def flush():
-        nonlocal comments, rows, in_block
-        if comments or rows:
-            sentences.append(_finish_sentence(comments, rows, language,
-                                              source, block_start))
-        comments, rows, in_block = [], [], False
-
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
-        if not line.strip():
-            flush()
-            continue
-        if not in_block:
-            block_start = line_no
-            in_block = True
+    for line_no, line in rows:
         if line.startswith("#"):
             comments.append(line)
             continue
@@ -310,7 +254,7 @@ def parse_cupt(text: str, language: str | None = None,
         raw_id = cols[0]
         if "-" in raw_id or "." in raw_id:
             # Range or empty-node row: no MWE annotation, kept verbatim.
-            rows.append(("extra", line))
+            extra_rows.append((len(tokens), line))
             continue
         try:
             tok_id = int(raw_id)
@@ -318,13 +262,42 @@ def parse_cupt(text: str, language: str | None = None,
             raise MalformedLine(
                 f"{source}:{line_no}: token id {raw_id!r} is not an integer"
             ) from None
-        memberships = _parse_mwe_field(cols[10], f"{source}:{line_no}")
-        rows.append(("token", Token(
+        tokens.append(Token(
             id=tok_id, form=cols[1], lemma=cols[2], upos=cols[3],
-            misc_columns=tuple(cols[4:10]), mwe_tags=memberships,
-            mwe_raw=cols[10])))
-    flush()
-    return Corpus(sentences=tuple(sentences),
+            misc_columns=tuple(cols[4:10]),
+            mwe_tags=_parse_mwe_field(cols[10], f"{source}:{line_no}"),
+            mwe_raw=cols[10]))
+    location = f"{source}:{rows[0][0]}"
+    if not tokens:
+        raise MalformedLine(f"{location}: sentence block contains no token lines")
+    ids = [t.id for t in tokens]
+    if ids != list(range(1, len(ids) + 1)):
+        raise NonContiguousIds(f"{location}: token ids {ids} are not 1..{len(ids)}")
+    _check_mwe_rules(tokens, location)
+    metadata = {}
+    for line in comments:
+        key, sep, value = line[1:].partition("=")
+        if sep:
+            metadata[key.strip()] = value.strip()
+    return Sentence(tokens=tuple(tokens), sent_id=metadata.get("sent_id", ""),
+                    text=metadata.get("text", ""), language=language,
+                    comments=tuple(comments), extra_rows=tuple(extra_rows))
+
+
+def parse_cupt(text: str, language: str | None = None,
+               source: str = "<string>") -> Corpus:
+    """Parse CUPT text into a Corpus, stamping ``language`` on each sentence.
+
+    Sentence blocks are separated by blank lines; '#' lines are kept
+    verbatim; multiword-token ranges and empty nodes are preserved but
+    excluded from the token sequence. CRLF input is accepted.
+    """
+    numbered = enumerate((line.rstrip("\r") for line in text.split("\n")),
+                         start=1)
+    blocks = groupby(numbered, key=lambda pair: bool(pair[1].strip()))
+    sentences = tuple(_parse_block(list(rows), language, source)
+                      for filled, rows in blocks if filled)
+    return Corpus(sentences=sentences,
                   source_files=(source,) if source != "<string>" else ())
 
 
@@ -355,14 +328,12 @@ def _write_atomic(path, write) -> None:
 def serialize_sentence(sentence: Sentence) -> str:
     lines = list(sentence.comments)
     extras = list(sentence.extra_rows)
-    position = 0
-    for token in sentence.tokens:
+    for position, token in enumerate(sentence.tokens):
         while extras and extras[0][0] <= position:
             lines.append(extras.pop(0)[1])
         lines.append("\t".join((str(token.id), token.form, token.lemma,
                                 token.upos, *token.misc_columns,
                                 token.mwe_raw)))
-        position += 1
     for _, raw in extras:
         lines.append(raw)
     return "\n".join(lines)
@@ -402,31 +373,20 @@ def encode_tags(sentence: Sentence) -> list[str]:
     are signalled with an OverlapUnrepresentable warning but remain in
     the Sentence itself, so evaluation against gold stays exact.
     """
-    instances = extract_mwes(sentence)
-    start = {inst.mwe_id: inst.token_indices[0] for inst in instances}
-    category = {inst.mwe_id: inst.category for inst in instances}
-    winner: dict[int, int] = {}
-    overlaps = []
-    for token in sentence.tokens:
-        ids = [mwe_id for mwe_id, _ in token.mwe_tags]
-        if not ids:
-            continue
-        if len(ids) > 1:
-            overlaps.append(token.id)
-        winner[token.id] = min(ids, key=lambda m: (start[m], m))
+    instances = sorted(extract_mwes(sentence),
+                       key=lambda inst: (inst.token_indices[0], inst.mwe_id))
+    overlaps = [token.id for token in sentence.tokens if len(token.mwe_tags) > 1]
     if overlaps:
         warnings.warn(OverlapUnrepresentable(
             f"tokens {overlaps} belong to more than one MWE; flat IOB2 tags "
             f"keep only the earliest-starting instance"))
-    kept: dict[int, list[int]] = {}
-    for tok_id, mwe_id in winner.items():
-        kept.setdefault(mwe_id, []).append(tok_id)
     tags = ["O"] * len(sentence.tokens)
-    for mwe_id, positions in kept.items():
-        positions.sort()
-        tags[positions[0] - 1] = f"B-{category[mwe_id]}"
-        for pos in positions[1:]:
-            tags[pos - 1] = f"I-{category[mwe_id]}"
+    for inst in instances:
+        prefix = "B-"
+        for position in inst.token_indices:
+            if tags[position - 1] == "O":
+                tags[position - 1] = f"{prefix}{inst.category}"
+                prefix = "I-"
     return tags
 
 
@@ -442,18 +402,14 @@ def decode_tags(tags: list[str], lemmas=None) -> list[MweInstance]:
     spans: list[tuple[str, list[int]]] = []
     open_span: dict[str, int] = {}
     for position, tag in enumerate(tags, start=1):
-        if tag.startswith("B-") and len(tag) > 2:
-            spans.append((tag[2:], [position]))
-            open_span[tag[2:]] = len(spans) - 1
-        elif tag.startswith("I-") and len(tag) > 2:
-            cat = tag[2:]
-            if cat in open_span:
-                spans[open_span[cat]][1].append(position)
-            else:
-                spans.append((cat, [position]))
-                open_span[cat] = len(spans) - 1
-        # anything else, including "O", is a gap
-    spans.sort(key=lambda span: span[1][0])
+        prefix, cat = tag[:2], tag[2:]
+        if not cat or prefix not in ("B-", "I-"):
+            continue  # anything else, including "O", is a gap
+        if prefix == "I-" and cat in open_span:
+            spans[open_span[cat]][1].append(position)
+        else:
+            open_span[cat] = len(spans)
+            spans.append((cat, [position]))
     instances = []
     for number, (cat, positions) in enumerate(spans, start=1):
         if lemmas is not None:
@@ -480,10 +436,12 @@ def with_instances(sentence: Sentence, instances: list[MweInstance]) -> Sentence
                 (inst.mwe_id, inst.category if position == first else None))
     tokens = []
     for token in sentence.tokens:
-        memberships = tuple(sorted(per_token.get(token.id, []),
+        memberships = tuple(sorted(per_token.get(token.id, ()),
                                    key=lambda m: m[0]))
-        tokens.append(replace(token, mwe_tags=memberships,
-                              mwe_raw=format_mwe_field(memberships)))
+        raw = format_mwe_field(memberships)
+        if memberships != token.mwe_tags or raw != token.mwe_raw:
+            token = replace(token, mwe_tags=memberships, mwe_raw=raw)
+        tokens.append(token)
     return replace(sentence, tokens=tuple(tokens))
 
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-
-import numpy as np
+from itertools import accumulate, islice
 
 from .corpus import (Corpus, MweInstance, Sentence, decode_tags, extract_mwes,
                      seen_lemma_keys, with_instances)
 
-# Tokens tagged together by predict_corpus. Larger chunks save little time
-# and raise peak memory: the pooling matrix grows with sentences x tokens.
+# Tokens encoded and tagged together by predict_corpus. Larger chunks save
+# little time, and each chunk's activations (window ids, hidden rows, logits)
+# grow with its token count, so the bound caps peak memory.
 CHUNK_TOKENS = 512
 
 
@@ -165,24 +165,21 @@ def evaluate(gold: Corpus, pred: Corpus, train: Corpus | set,
 def predict_corpus(model, corpus: Corpus) -> Corpus:
     """Tag every sentence and rewrite its MWE column from the decoder.
 
-    Consecutive sentences are tagged together, up to CHUNK_TOKENS tokens
-    at a time (a longer sentence alone); ties pick the lowest tag index.
+    Consecutive sentences are encoded and tagged together, up to
+    CHUNK_TOKENS tokens at a time (a longer sentence alone), by
+    ``model.predict_tags``; ties pick the lowest tag index.
     """
     sentences = corpus.sentences
     if not sentences:
         return corpus
-    encoded = model.extractor.encode(sentences)
-    tag_ids = []
-    for chunk in _chunks(encoded.offsets, CHUNK_TOKENS):
-        tag_logits, _ = model.forward(encoded.select(chunk))
-        tag_ids.append(tag_logits.data.argmax(axis=1))
-    tag_ids = np.concatenate(tag_ids)
+    offsets = list(accumulate((len(s) for s in sentences), initial=0))
     predicted = []
-    for sentence, start, end in zip(sentences, encoded.offsets,
-                                    encoded.offsets[1:]):
-        tags = [model.tagset[i] for i in tag_ids[start:end]]
-        instances = decode_tags(tags, lemmas=sentence.lemmas())
-        predicted.append(with_instances(sentence, instances))
+    for chunk in _chunks(offsets, CHUNK_TOKENS):
+        part = sentences[chunk.start:chunk.stop]
+        tags = iter(model.predict_tags(model.extractor.encode(part)))
+        for sentence in part:
+            instances = decode_tags(list(islice(tags, len(sentence))))
+            predicted.append(with_instances(sentence, instances))
     return Corpus(sentences=tuple(predicted), source_files=corpus.source_files)
 
 

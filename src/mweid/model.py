@@ -46,6 +46,14 @@ class CheckpointError(ValueError):
     """A checkpoint file is not a valid checkpoint of this format/version."""
 
 
+def check_finite(config) -> None:
+    """Raise ValueError naming the first float field of a config that is
+    NaN or infinite (every other check then compares finite values)."""
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass
 class ModelConfig:
     embedding_dim: int = 16
@@ -59,6 +67,7 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_finite(self)
         for name in ("embedding_dim", "hidden_dim", "disc_hidden_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -309,9 +318,13 @@ class MweTagger:
             lang_logits = self.discriminator.logits(pooled, lam)
         return tag_logits, lang_logits
 
-    def predict_tags(self, sentence: Sentence) -> list[str]:
-        """Argmax tag per token; ties pick the lowest tag index."""
-        tag_logits, _ = self.forward(sentence)
+    def predict_tags(self, sentence: Sentence | Batch) -> list[str]:
+        """Argmax tag per token; ties pick the lowest tag index.
+
+        Runs only the extractor and the tag classifier; a Batch gives the
+        tags of all its token rows in order.
+        """
+        tag_logits = self.classifier.logits(self.extractor.features(sentence))
         return [self.tagset[i] for i in tag_logits.data.argmax(axis=1)]
 
     def predict_language(self, sentence: Sentence) -> str:

@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import Corpus, Sentence, encode_tags, seen_lemma_keys
 from .evaluation import evaluate, predict_corpus
-from .model import Batch, MweTagger
+from .model import Batch, MweTagger, check_finite
 
 SCHEDULES = ("constant", "dann_ramp")
 
@@ -61,6 +61,7 @@ class TrainerConfig:
     clip_grad: float | None = None
 
     def validate(self) -> None:
+        check_finite(self)
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
         if self.lam < 0:

@@ -185,6 +185,21 @@ class TestTag:
         assert run(["tag", str(checkpoint), RO, str(out)]) == EXIT_CONFIG
         assert run(["tag", str(checkpoint), RO, str(out), "--force"]) == EXIT_OK
 
+    def test_existing_output_refused_before_tagging(self, checkpoint, tmp_path,
+                                                   monkeypatch, capsys):
+        out = tmp_path / "pred.cupt"
+        out.write_text("occupied")
+
+        def refuse(*args):
+            raise AssertionError("tagging started")
+
+        monkeypatch.setattr(cli.MweTagger, "load", refuse)
+        monkeypatch.setattr(cli, "predict_corpus", refuse)
+        assert run(["tag", str(checkpoint), RO, str(out)]) == EXIT_CONFIG
+        assert f"output file {out} exists (use --force)" \
+            in capsys.readouterr().err
+        assert out.read_text() == "occupied"
+
     def test_bad_checkpoint(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mweid
-from mweid.corpus import (BadMweColumn, Corpus, DanglingMweId,
-                          DuplicateLanguageCode, MalformedLine,
+from mweid.corpus import (N_COLUMNS, BadMweColumn, Corpus, CuptError,
+                          DanglingMweId, DuplicateLanguageCode, MalformedLine,
                           NonContiguousIds, OverlapUnrepresentable,
                           VmweCategory, corpus_stats, decode_tags,
                           encode_tags, extract_mwes, format_mwe_field,
@@ -104,6 +104,59 @@ class TestParsing:
             path = mweid.fixture_path(name)
             text = open(path, encoding="utf-8").read()
             assert serialize_corpus(parse_cupt(text, source=name)) == text
+
+
+# CUPT-shaped text: rows of 1-12 tab-separated fields with ids and MWE
+# fields drawn from valid and invalid values, '#' lines, blank and
+# whitespace-only lines, and any line may end in a carriage return. A
+# row's id is often the next one its sentence expects, so that many
+# texts parse.
+_FUZZ_IDS = ("1", "2", "3", "1-2", "2.1", "x", "", "0")
+_FUZZ_MWE_FIELDS = ("*", "_", "1", "1:VID", "1;2", ":", ";", "0", " 1:VID ")
+
+
+def _often(value, strategy):
+    """``value`` three times in four, otherwise a draw from ``strategy``."""
+    return st.integers(0, 3).flatmap(
+        lambda roll: strategy if roll == 0 else st.just(value))
+
+
+@st.composite
+def _cupt_texts(draw):
+    lines, next_id = [], 1
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("row", "row", "row", "comment", "blank")))
+        if kind == "blank":
+            line, next_id = draw(st.sampled_from(("", " ", "\t "))), 1
+        elif kind == "comment":
+            line = draw(st.sampled_from(("# sent_id = s1", "# text = a b", "#")))
+        else:
+            n_fields = draw(_often(N_COLUMNS, st.integers(1, 12)))
+            fields = [draw(st.one_of(st.just(str(next_id)),
+                                     st.sampled_from(_FUZZ_IDS)))]
+            fields += [draw(st.sampled_from(("a", "_", "b c", "")))
+                       for _ in range(n_fields - 2)]
+            if n_fields > 1:
+                fields.append(draw(_often("*",
+                                          st.sampled_from(_FUZZ_MWE_FIELDS))))
+            next_id += fields[0] == str(next_id)
+            line = "\t".join(fields)
+        lines.append(line + "\r" * draw(st.booleans()))
+    return "\n".join(lines)
+
+
+class TestParserFuzz:
+    @given(_cupt_texts())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_parses_or_raises_cupt_error(self, text):
+        try:
+            corpus = parse_cupt(text)
+        except CuptError:
+            return
+        once = serialize_corpus(corpus)
+        again = parse_cupt(once)
+        assert again == corpus
+        assert serialize_corpus(again) == once
 
 
 class TestCategory:
@@ -231,6 +284,15 @@ class TestRewrite:
         mwes = decode_tags(["B-VID", "O", "I-VID"], lemmas=s.lemmas())
         out = with_instances(s, mwes)
         assert [t.mwe_raw for t in out.tokens] == ["1:VID", "*", "1"]
+
+    def test_with_instances_rewrites_only_changed_tokens(self):
+        s = parse_rows([("a", "a", "1:VID"), ("b", "b", " 1"), ("c", "c", "_"),
+                        ("d", "d", "*")])
+        out = with_instances(s, decode_tags(["B-VID", "I-VID", "O", "O"]))
+        assert [new is old for new, old in zip(out.tokens, s.tokens)] \
+            == [True, False, False, True]
+        assert [t.mwe_raw for t in out.tokens] == ["1:VID", "1", "*", "*"]
+        assert out.tokens[2].mwe_tags == ()
 
     def test_format_mwe_field_sorted(self):
         assert format_mwe_field([(2, None), (1, VmweCategory("VID"))]) == "1:VID;2"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mweid import corpus as corpus_mod
 from mweid import evaluation
+from mweid import model as model_mod
 from mweid.corpus import Corpus
 from mweid.evaluation import (AlignmentMismatch, EvalResult, Scores,
                               TokenizationMismatch, evaluate, f1_score,
@@ -249,6 +250,23 @@ class TestPredictCorpus:
         predicted = evaluation.predict_corpus(model, corpus)
         assert predicted == self.one_by_one(model, corpus)
         assert any(corpus_mod.extract_mwes(s) for s in predicted)
+
+    def test_tagging_runs_only_the_tag_head(self, bilingual_corpus,
+                                            monkeypatch):
+        model = self.trained_model(bilingual_corpus)
+        sentence = bilingual_corpus.sentences[0]
+        expected = evaluation.predict_corpus(model, bilingual_corpus)
+        tags = model.predict_tags(sentence)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the language path ran")
+
+        monkeypatch.setattr(model_mod.LanguageDiscriminator, "logits", refuse)
+        monkeypatch.setattr(model_mod.Batch, "pooling", refuse)
+        assert evaluation.predict_corpus(model, bilingual_corpus) == expected
+        assert model.predict_tags(sentence) == tags
+        with pytest.raises(AssertionError, match="the language path ran"):
+            model.predict_language(sentence)
 
     def test_chunks_bound_tokens_and_cover_in_order(self):
         offsets = np.cumsum([0, 3, 4, 2, 9, 1, 1])

@@ -259,6 +259,16 @@ def _invalid_config_value(payload):
     return payload
 
 
+def _nan_steepness(payload):
+    payload["config"]["steepness"] = math.nan
+    return payload
+
+
+def _infinite_lam(payload):
+    payload["config"]["lam"] = math.inf
+    return payload
+
+
 def _duplicate_vocab(payload):
     payload["vocab"][3] = payload["vocab"][2]
     return payload
@@ -282,6 +292,8 @@ def _swapped_reserved(payload):
     (_nan_value, "non-finite"),
     (_unknown_config_key, "bad config"),
     (_invalid_config_value, "bad config"),
+    (_nan_steepness, "bad config: steepness must be finite"),
+    (_infinite_lam, "bad config: lam must be finite"),
     (lambda payload: [payload], "not a mweid-checkpoint"),
     (_duplicate_vocab, "vocab must be a list of distinct"),
     (_short_data, "do not match model shape"),

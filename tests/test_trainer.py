@@ -175,6 +175,13 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainerConfig(epochs=0).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", float("nan")), ("lam", float("inf")),
+        ("clip_grad", float("nan"))])
+    def test_non_finite_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainerConfig(**{field: value}).validate()
+
     def test_bad_schedule_rejected(self):
         with pytest.raises(ValueError):
             TrainerConfig(lambda_schedule="linear").validate()
