@@ -5,7 +5,9 @@ vector-Jacobian products that route adjoints to its inputs. backward()
 walks the graph once in reverse topological order, accumulating
 gradients into Parameter leaves; the graph itself is ephemeral (rebuilt
 by every forward pass), so repeated backward calls over shared
-subgraphs simply sum their contributions.
+subgraphs simply sum their contributions. An embedding lookup hands its
+table a RowSparse adjoint, so a Parameter's gradient is accumulated,
+zeroed and applied only in the rows a step used.
 
 Broadcasting is deliberately restricted to a trailing-axis vector
 (bias-style) in add/mul; everything else requires exact shapes.
@@ -68,21 +70,82 @@ class Tensor:
         if self.requires_grad:
             self.grad = np.zeros_like(self.data)
 
+    def accumulate(self, adjoint) -> None:
+        """Add a dense or RowSparse adjoint into ``grad``."""
+        self.grad = self.grad + _dense(adjoint)
+
     def __repr__(self) -> str:
         return f"Tensor(op={self.op}, shape={self.shape})"
 
 
-class Parameter(Tensor):
-    """A named trainable leaf tensor."""
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
-    __slots__ = ("name",)
+
+class Parameter(Tensor):
+    """A named trainable leaf tensor.
+
+    ``rows`` holds the sorted row ids of ``grad`` written since the last
+    ``zero_grad``; every other row is zero. None means any row may be
+    nonzero. Code that assigns ``grad`` must keep this true.
+    """
+
+    __slots__ = ("name", "rows")
 
     def __init__(self, data, name: str):
         super().__init__(data, requires_grad=True, op="param")
         self.name = name
+        self.rows = _NO_ROWS
+
+    def zero_grad(self) -> None:
+        if self.rows is None:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad[self.rows] = 0.0
+        self.rows = _NO_ROWS
+
+    def accumulate(self, adjoint) -> None:
+        """Add an adjoint into ``grad``; a RowSparse one in place, in its
+        rows only, with the same float result as adding it densified."""
+        if not isinstance(adjoint, RowSparse):
+            self.grad = self.grad + adjoint
+            self.rows = None
+            return
+        ids, sums = adjoint.summed()
+        self.grad[ids] += sums
+        if self.rows is not None:
+            self.rows = np.union1d(self.rows, ids)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name}, shape={self.shape})"
+
+
+class RowSparse:
+    """The adjoint of a lookup into a ``shape`` table: ``rows[i]`` adds into
+    row ``ids[i]``, and rows no id names are zero."""
+
+    __slots__ = ("ids", "rows", "shape")
+
+    def __init__(self, ids: np.ndarray, rows: np.ndarray, shape: tuple[int, int]):
+        self.ids = ids
+        self.rows = rows
+        self.shape = shape
+
+    def dense(self) -> np.ndarray:
+        grad = np.zeros(self.shape)
+        np.add.at(grad, self.ids, self.rows)
+        return grad
+
+    def summed(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted distinct ids, their rows of ``dense()``), with each id's
+        rows summed in the same order as ``dense`` sums them."""
+        ids, inverse = np.unique(self.ids, return_inverse=True)
+        sums = np.zeros((len(ids), self.shape[1]))
+        np.add.at(sums, inverse, self.rows)
+        return ids, sums
+
+
+def _dense(adjoint) -> np.ndarray:
+    return adjoint.dense() if isinstance(adjoint, RowSparse) else adjoint
 
 
 def tensor(data) -> Tensor:
@@ -230,9 +293,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     out_shape = (len(ids), width * (ids.shape[1] if ids.ndim == 2 else 1))
 
     def vjp(g):
-        grad = np.zeros((vocab, width))
-        np.add.at(grad, flat, g.reshape(flat.size, width))
-        return grad
+        return RowSparse(flat, g.reshape(flat.size, width), (vocab, width))
 
     return _node(table.data[flat].reshape(out_shape), ((table, vjp),),
                  "embedding")
@@ -304,7 +365,8 @@ def backward(loss: Tensor) -> None:
     ``loss`` must hold a single value. Adjoints of interior nodes live
     only for the duration of the walk, so backpropagating two losses
     that share a subgraph gives the same parameter gradients as
-    backpropagating their sum.
+    backpropagating their sum. A RowSparse adjoint stays sparse until it
+    meets another adjoint or reaches a node that is not a leaf.
     """
     if loss.data.size != 1:
         raise NotScalarLoss(f"loss has shape {loss.shape}, expected a scalar")
@@ -313,13 +375,16 @@ def backward(loss: Tensor) -> None:
         adjoint = adjoints.pop(id(node), None)
         if adjoint is None:
             continue
-        if node.requires_grad and not node.vjps:
-            node.grad = node.grad + adjoint
+        if not node.vjps:
+            if node.requires_grad:
+                node.accumulate(adjoint)
+            continue
+        adjoint = _dense(adjoint)
         for parent, vjp in node.vjps:
             contribution = vjp(adjoint)
             key = id(parent)
             if key in adjoints:
-                adjoints[key] = adjoints[key] + contribution
+                adjoints[key] = _dense(adjoints[key]) + _dense(contribution)
             else:
                 adjoints[key] = contribution
 

@@ -188,8 +188,9 @@ def _parse_mwe_field(raw: str, location: str) -> tuple[tuple[int, VmweCategory |
         if mwe_id < 1:
             raise BadMweColumn(f"{location}: MWE id must be positive, got {mwe_id}")
         membership = (mwe_id, VmweCategory(cat) if sep else None)
-        if membership in memberships:
-            raise BadMweColumn(f"{location}: duplicate membership {part!r}")
+        if any(mwe_id == seen for seen, _ in memberships):
+            raise BadMweColumn(
+                f"{location}: duplicate membership {part!r} of MWE {mwe_id}")
         memberships.append(membership)
     return tuple(memberships)
 

@@ -362,13 +362,13 @@ class MweTagger:
                           if self.discriminator is not None else []),
             "parameters": {
                 p.name: {"shape": list(p.data.shape),
-                         "data": p.data.reshape(-1).tolist()}
+                         "data": p.data.reshape(-1)}
                 for p in self.parameters()
             },
         }
 
         def write(handle):
-            json.dump(payload, handle, allow_nan=False)
+            _dump_json(payload, handle)
             handle.write("\n")
 
         _write_atomic(path, write)
@@ -410,6 +410,33 @@ class MweTagger:
         if unexpected:
             raise CheckpointError(f"unexpected parameters {sorted(unexpected)}")
         return model
+
+
+JSON_CHUNK = 4096
+
+
+def _dump_json(value, handle) -> None:
+    """Write the same text as ``json.dump(value, handle, allow_nan=False)``,
+    with each list or float array encoded by the C encoder in chunks of at
+    most ``JSON_CHUNK`` items, so no write holds a whole large array."""
+    if isinstance(value, dict):
+        handle.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            handle.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _dump_json(item, handle)
+        handle.write("}")
+    elif isinstance(value, (list, np.ndarray)):
+        handle.write("[")
+        for start in range(0, len(value), JSON_CHUNK):
+            chunk = value[start:start + JSON_CHUNK]
+            if isinstance(chunk, np.ndarray):
+                chunk = chunk.tolist()
+            if start:
+                handle.write(", ")
+            handle.write(json.dumps(chunk, allow_nan=False)[1:-1])
+        handle.write("]")
+    else:
+        handle.write(json.dumps(value, allow_nan=False))
 
 
 def _inventory(payload: dict, key: str) -> list[str]:

@@ -187,7 +187,11 @@ def train_step(model: MweTagger, batch: list[Sentence] | Batch, alpha: float,
     if clip_grad is not None:
         _clip_gradients(params, clip_grad)
     for param in params:
-        param.data = param.data - alpha * param.grad
+        if param.rows is None:
+            param.data = param.data - alpha * param.grad
+        else:  # rows outside param.rows would get x - alpha * 0.0 == x
+            rows = param.rows
+            param.data[rows] = param.data[rows] - alpha * param.grad[rows]
     return float(loss_y.data), lang_loss, lang_correct
 
 

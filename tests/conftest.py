@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mweid
+from mweid import autodiff as ad
 from mweid.corpus import (Corpus, Sentence, Token, VmweCategory, parse_cupt,
                           parse_cupt_file)
 
@@ -38,6 +39,22 @@ def make_sentence(forms, instances=(), sent_id="s", language=None,
                             upos=upos, misc_columns=("_",) * 6,
                             mwe_tags=memberships, mwe_raw=raw))
     return Sentence(tokens=tuple(tokens), sent_id=sent_id, language=language)
+
+
+def dense_lookup(table, ids):
+    """``ad.embedding_lookup`` with the dense rule the row-sparse adjoint
+    replaced: a zero vocab x e array with the rows added in by np.add.at.
+    The reference for the row-sparse embedding gradient."""
+    flat = np.asarray(ids, dtype=np.int64).reshape(-1)
+    vocab, width = table.shape
+
+    def vjp(g):
+        grad = np.zeros((vocab, width))
+        np.add.at(grad, flat, g.reshape(flat.size, width))
+        return grad
+
+    return ad.Tensor(table.data[flat].reshape(len(ids), -1),
+                     vjps=((table, vjp),), op="embedding")
 
 
 def corpus_of(*sentences, language=None):

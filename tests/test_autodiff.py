@@ -7,6 +7,7 @@ from mweid import autodiff as ad
 from mweid.autodiff import (IndexOutOfVocab, NotScalarLoss, Parameter,
                             ShapeMismatch, backward,
                             finite_difference_check, grad_reverse, zero_grads)
+from conftest import dense_lookup
 
 
 def param(data, name="p"):
@@ -190,6 +191,73 @@ class TestBackward:
         backward(ad.sum_all(p))
         backward(ad.sum_all(p))
         assert np.array_equal(p.grad, np.full((1, 2), 2.0))
+
+
+class TestRowSparseAdjoint:
+    # The sparse adjoint against the dense rule: gradients equal bitwise.
+    rng = np.random.default_rng(21)
+    table_data = rng.standard_normal((7, 3))
+    ids_a = np.array([[0, 4, 4], [2, 0, 6], [4, 4, 0]])  # repeats, pad id 0
+    ids_b = np.array([5, 4, 5, 0])
+    weight_a = rng.standard_normal((3, 9))
+    weight_b = rng.standard_normal((4, 3))
+
+    def two_lookups(self, lookup, table, through=lambda t: t):
+        source = through(table)
+        a = ad.mul(lookup(source, self.ids_a), ad.tensor(self.weight_a))
+        b = ad.mul(lookup(source, self.ids_b), ad.tensor(self.weight_b))
+        return ad.add(ad.sum_all(ad.sigmoid(a)), ad.sum_all(ad.mul(b, b)))
+
+    def gradients(self, loss_of):
+        sparse = param(self.table_data.copy(), "table")
+        backward(loss_of(ad.embedding_lookup, sparse))
+        dense = param(self.table_data.copy(), "table")
+        backward(loss_of(dense_lookup, dense))
+        return sparse, dense
+
+    def test_two_lookups_of_one_table_sum(self):
+        sparse, dense = self.gradients(self.two_lookups)
+        assert np.array_equal(sparse.grad, dense.grad)
+        assert sparse.rows is None  # the two adjoints met and were densified
+        error = finite_difference_check(
+            lambda: self.two_lookups(ad.embedding_lookup, sparse), [sparse])
+        assert error < 1e-7
+
+    def test_lookup_from_non_leaf_table_is_densified(self):
+        def loss_of(lookup, table):
+            return self.two_lookups(lookup, table,
+                                    through=lambda t: ad.scale(t, 2.0))
+
+        sparse, dense = self.gradients(loss_of)
+        assert np.array_equal(sparse.grad, dense.grad)
+        assert not sparse.grad[[1, 3]].any()
+        error = finite_difference_check(
+            lambda: loss_of(ad.embedding_lookup, sparse), [sparse])
+        assert error < 1e-7
+
+    def test_backward_calls_accumulate_as_dense_rule(self):
+        sparse = param(self.table_data.copy(), "table")
+        dense = param(self.table_data.copy(), "table")
+        for ids, weight in ((self.ids_a, self.weight_a),
+                            (self.ids_b, self.weight_b)):
+            for table, lookup in ((sparse, ad.embedding_lookup),
+                                  (dense, dense_lookup)):
+                out = ad.mul(lookup(table, ids), ad.tensor(weight))
+                backward(ad.sum_all(ad.sigmoid(out)))
+        assert np.array_equal(sparse.grad, dense.grad)
+        assert sparse.rows.tolist() == [0, 2, 4, 5, 6]
+        assert not sparse.grad[[1, 3]].any()
+        sparse.zero_grad()
+        assert not sparse.grad.any() and sparse.rows.size == 0
+
+    def test_dense_adjoint_after_sparse_rows_zeroes_everything(self):
+        table = param(self.table_data.copy(), "table")
+        backward(ad.sum_all(ad.embedding_lookup(table, self.ids_b)))
+        assert table.rows.tolist() == [0, 4, 5]
+        backward(ad.sum_all(table))
+        assert table.rows is None
+        table.zero_grad()
+        assert not table.grad.any() and table.rows.size == 0
 
 
 class TestGradReverse:

@@ -52,6 +52,14 @@ class TestParsing:
         with pytest.raises(BadMweColumn):
             parse_rows([("a", "a", field)])
 
+    @pytest.mark.parametrize("field", ["1:VID;1", "1;1:VID"])
+    def test_repeated_mwe_id_rejected_at_its_line(self, field):
+        # One token listed twice in MWE 1 used to parse and fail only later,
+        # in extract_mwes, with no file or line.
+        with pytest.raises(BadMweColumn,
+                           match=r"^<string>:2: duplicate membership .* of MWE 1$"):
+            parse_rows([("a", "a", field), ("b", "b", "1")])
+
     def test_dangling_mwe_id(self):
         with pytest.raises(DanglingMweId):
             parse_rows([("a", "a", "1"), ("b", "b", "1")])

@@ -1,13 +1,17 @@
 """Model assembly: features, forward paths, prediction, checkpoints."""
 
+import io
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from mweid.model import (CheckpointError, ModelConfig, MweTagger, PAD_ID,
-                         UNK_ID, UnknownLanguage, build_tagset, build_vocab)
+from mweid import model as model_mod
+from mweid.model import (JSON_CHUNK, CheckpointError, ModelConfig, MweTagger,
+                         PAD_ID, UNK_ID, UnknownLanguage, build_tagset,
+                         build_vocab)
 from conftest import corpus_of, make_sentence
 
 
@@ -312,13 +316,58 @@ def test_failed_save_keeps_previous_checkpoint(tiny_corpus, tmp_path):
     model = MweTagger.build(small_config(), tiny_corpus)
     model.save(path)
     before = path.read_bytes()
-    # json.dump streams the parameters in order and stops at the NaN,
-    # midway through the file.
+    # save streams the parameters in order and stops at the NaN, midway
+    # through the file.
     model.discriminator.b2.data[0] = math.nan
     with pytest.raises(ValueError):
         model.save(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def _large_model():
+    """A model whose vocab and embedding table span several JSON chunks,
+    with floats whose text is easy to get wrong."""
+    forms = ["gândi", "ŝ\u2028\"x\\"] \
+        + [f"w{i}" for i in range(JSON_CHUNK + 900)]
+    model = MweTagger.build(small_config(embedding_dim=16), corpus_of(
+        make_sentence(forms, [("VID", [1, 2])], language="RO")))
+    special = [-0.0, 5e-324, 1e16, 0.1, -1.5e-300, 123456789.0]
+    model.extractor.embedding.data[2, :len(special)] = special
+    model.classifier.head_b.data[:2] = [-0.0, 1e16]
+    return model
+
+
+def test_save_writes_the_bytes_of_json_dump(tmp_path):
+    model = _large_model()
+    assert len(model.extractor.vocab) > JSON_CHUNK
+    model.save(tmp_path / "model.json")
+    payload = {
+        "format": "mweid-checkpoint", "version": 1,
+        "config": asdict(model.config),
+        "vocab": list(model.extractor.vocab), "tagset": model.tagset,
+        "languages": model.discriminator.languages,
+        "parameters": {p.name: {"shape": list(p.shape),
+                                "data": p.data.reshape(-1).tolist()}
+                       for p in model.parameters()}}
+    want = io.StringIO()
+    json.dump(payload, want, allow_nan=False)
+    assert (tmp_path / "model.json").read_bytes() \
+        == (want.getvalue() + "\n").encode("utf-8")
+
+
+def test_save_writes_a_large_model_in_bounded_pieces(tmp_path, monkeypatch):
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(len(text))
+
+    monkeypatch.setattr(model_mod, "_write_atomic",
+                        lambda path, write: write(Recorder()))
+    _large_model().save(tmp_path / "model.json")
+    bound = 32 * JSON_CHUNK
+    assert max(writes) <= bound < sum(writes) / 10
 
 
 class TestBatch:

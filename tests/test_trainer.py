@@ -14,7 +14,7 @@ from mweid.corpus import Corpus
 from mweid.model import PAD_ID, ModelConfig, MweTagger, UnknownLanguage
 from mweid.trainer import (EmptyBatch, TrainerConfig, TrainingDiverged,
                            gold_tag_ids, lambda_at, train, train_step)
-from conftest import corpus_of, make_sentence, random_sentence
+from conftest import corpus_of, dense_lookup, make_sentence, random_sentence
 
 
 def training_corpus():
@@ -350,3 +350,73 @@ def test_batched_step_matches_per_sentence_reference(batch_size, window,
         want = want_grads[param.name]
         assert np.abs(param.grad - want).max() <= 1e-12 * np.abs(want).max(), \
             param.name
+
+
+# --------------------------------------------------------------------------
+# The row-sparse embedding gradient against the dense rule it replaced.
+# This reference lives in the tests only: a dense vocab x e embedding
+# adjoint (conftest.dense_lookup), every gradient zeroed and every
+# parameter updated in full. The float operations per entry are the same,
+# so the two agree bitwise.
+# --------------------------------------------------------------------------
+
+def _dense_step(model, batch, alpha, lam, clip_grad, monkeypatch):
+    params = model.parameters()
+    for param in params:
+        param.grad = np.zeros_like(param.data)
+        param.rows = None
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "embedding_lookup", dense_lookup)
+        tag_logits, lang_logits = model.forward(batch, lam=lam)
+    total = ad.softmax_cross_entropy(tag_logits, batch.tags)
+    if lang_logits is not None:
+        total = ad.add(total, ad.softmax_cross_entropy(lang_logits,
+                                                       batch.languages))
+    ad.backward(total)
+    norm = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
+    clipped = clip_grad is not None and norm > clip_grad
+    if clipped:
+        for param in params:
+            param.grad = param.grad * (clip_grad / norm)
+    for param in params:
+        param.data = param.data - alpha * param.grad
+    return clipped
+
+
+@pytest.mark.parametrize("window", [0, 2])
+@pytest.mark.parametrize("clip_grad", [None, 1e-2])
+def test_row_sparse_steps_match_dense_reference(window, clip_grad, monkeypatch):
+    rng = np.random.default_rng(50 + window)
+    sentences = [replace(random_sentence(rng, sent_id=f"r{i}"),
+                         language=("RO", "FR")[int(rng.integers(2))])
+                 for i in range(30)]
+    # Forms no training sentence uses give rows no step may touch.
+    corpus = corpus_of(*sentences, make_sentence(
+        [f"unused{i}" for i in range(20)], language="RO"))
+    model = build(corpus, window=window, hidden_dim=8)
+    for param in model.parameters():
+        param.data = rng.uniform(-0.5, 0.5, param.shape)
+    reference = build(corpus, window=window, hidden_dim=8)
+    reference.load_state_arrays(model.state_arrays())
+    data = trainer.encode(model, sentences)
+    table = model.extractor.embedding
+    repeated = False
+    for _ in range(6):
+        batch = data.select(rng.choice(len(sentences), int(rng.integers(1, 5)),
+                                       replace=False))
+        repeated |= len(np.unique(batch.windows)) < batch.windows.size
+        before = table.data.copy()
+        train_step(model, batch, 0.3, lam=0.7, clip_grad=clip_grad)
+        clipped = _dense_step(reference, batch, 0.3, 0.7, clip_grad,
+                              monkeypatch)
+        assert clipped == (clip_grad is not None)
+        for param, want in zip(model.parameters(), reference.parameters()):
+            assert np.array_equal(param.data, want.data), param.name
+            assert np.array_equal(param.grad, want.grad), param.name
+        unused = np.setdiff1d(np.arange(len(before)), batch.windows)
+        assert np.array_equal(table.data[unused], before[unused])
+        assert table.rows.tolist() == np.unique(batch.windows).tolist()
+    assert repeated and (window == 2) == (PAD_ID in data.windows)
+    ad.zero_grads(model.parameters())
+    for param in model.parameters():
+        assert not param.grad.any(), param.name
