@@ -30,49 +30,24 @@ class NotScalarLoss(ValueError):
     """backward() was asked to differentiate a non-scalar."""
 
 
-_debug_checks = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle per-operation finiteness checks (off by default)."""
-    global _debug_checks
-    _debug_checks = enabled
-
-
-def _check_finite(data: np.ndarray, op: str) -> None:
-    if _debug_checks and not np.all(np.isfinite(data)):
-        raise FloatingPointError(f"{op} produced a non-finite value")
-
-
 class Tensor:
     """A float64 array plus the backward closures that produced it.
 
     ``vjps`` is a tuple of (parent, fn) pairs where fn maps this node's
     adjoint to the parent's adjoint contribution. Leaves have no vjps;
-    leaves with requires_grad accumulate into ``grad``.
+    only Parameter leaves hold a gradient.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "vjps", "op")
+    __slots__ = ("data", "vjps", "op")
 
-    def __init__(self, data, requires_grad: bool = False, vjps=(), op: str = "leaf"):
+    def __init__(self, data, vjps=(), op: str = "leaf"):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
         self.vjps = tuple(vjps)
         self.op = op
-        _check_finite(self.data, op)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def zero_grad(self) -> None:
-        if self.requires_grad:
-            self.grad = np.zeros_like(self.data)
-
-    def accumulate(self, adjoint) -> None:
-        """Add a dense or RowSparse adjoint into ``grad``."""
-        self.grad = self.grad + _dense(adjoint)
 
     def __repr__(self) -> str:
         return f"Tensor(op={self.op}, shape={self.shape})"
@@ -82,18 +57,19 @@ _NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 class Parameter(Tensor):
-    """A named trainable leaf tensor.
+    """A named trainable leaf tensor and its accumulated gradient.
 
     ``rows`` holds the sorted row ids of ``grad`` written since the last
     ``zero_grad``; every other row is zero. None means any row may be
     nonzero. Code that assigns ``grad`` must keep this true.
     """
 
-    __slots__ = ("name", "rows")
+    __slots__ = ("name", "grad", "rows")
 
     def __init__(self, data, name: str):
-        super().__init__(data, requires_grad=True, op="param")
+        super().__init__(data, op="param")
         self.name = name
+        self.grad = np.zeros_like(self.data)
         self.rows = _NO_ROWS
 
     def zero_grad(self) -> None:
@@ -360,7 +336,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
+    """Accumulate d(loss)/d(param) into every Parameter the loss reaches.
 
     ``loss`` must hold a single value. Adjoints of interior nodes live
     only for the duration of the walk, so backpropagating two losses
@@ -376,7 +352,7 @@ def backward(loss: Tensor) -> None:
         if adjoint is None:
             continue
         if not node.vjps:
-            if node.requires_grad:
+            if isinstance(node, Parameter):
                 node.accumulate(adjoint)
             continue
         adjoint = _dense(adjoint)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -175,7 +176,13 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "config.json", config_text)
     model.save(out_dir / "checkpoint.json")
-    if report.best_state is not None:
+    if report.best_epoch == len(report.epochs):
+        # The final state is the best one: copy its bytes, not re-encode them.
+        with open(out_dir / "checkpoint.json", encoding="utf-8",
+                  newline="") as final:
+            _write_atomic(out_dir / "checkpoint_best.json",
+                          lambda handle: shutil.copyfileobj(final, handle))
+    elif report.best_state is not None:
         model.load_state_arrays(report.best_state)
         model.save(out_dir / "checkpoint_best.json")
     _write_text(out_dir / "report.jsonl", report.to_jsonl())

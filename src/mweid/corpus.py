@@ -120,7 +120,6 @@ class Sentence:
 
     tokens: tuple[Token, ...]
     sent_id: str = ""
-    text: str = ""
     language: str | None = None
     comments: tuple[str, ...] = ()
     extra_rows: tuple[tuple[int, str], ...] = ()
@@ -141,10 +140,9 @@ class Sentence:
 
 @dataclass(frozen=True)
 class Corpus:
-    """An ordered collection of sentences with file provenance."""
+    """An ordered collection of sentences."""
 
     sentences: tuple[Sentence, ...]
-    source_files: tuple[str, ...] = ()
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -275,13 +273,12 @@ def _parse_block(rows, language, source) -> Sentence:
     if ids != list(range(1, len(ids) + 1)):
         raise NonContiguousIds(f"{location}: token ids {ids} are not 1..{len(ids)}")
     _check_mwe_rules(tokens, location)
-    metadata = {}
+    sent_id = ""
     for line in comments:
         key, sep, value = line[1:].partition("=")
-        if sep:
-            metadata[key.strip()] = value.strip()
-    return Sentence(tokens=tuple(tokens), sent_id=metadata.get("sent_id", ""),
-                    text=metadata.get("text", ""), language=language,
+        if sep and key.strip() == "sent_id":
+            sent_id = value.strip()
+    return Sentence(tokens=tuple(tokens), sent_id=sent_id, language=language,
                     comments=tuple(comments), extra_rows=tuple(extra_rows))
 
 
@@ -298,8 +295,7 @@ def parse_cupt(text: str, language: str | None = None,
     blocks = groupby(numbered, key=lambda pair: bool(pair[1].strip()))
     sentences = tuple(_parse_block(list(rows), language, source)
                       for filled, rows in blocks if filled)
-    return Corpus(sentences=sentences,
-                  source_files=(source,) if source != "<string>" else ())
+    return Corpus(sentences=sentences)
 
 
 def parse_cupt_file(path, language: str | None = None) -> Corpus:
@@ -454,7 +450,6 @@ def merge_corpora(parts: list[tuple[Corpus, str]]) -> Corpus:
     raises DuplicateLanguageCode.
     """
     sentences: list[Sentence] = []
-    sources: list[str] = []
     for corpus, code in parts:
         for sentence in corpus:
             if sentence.language is not None and sentence.language != code:
@@ -462,8 +457,7 @@ def merge_corpora(parts: list[tuple[Corpus, str]]) -> Corpus:
                     f"sentence {sentence.sent_id!r} already carries language "
                     f"{sentence.language!r}, cannot re-stamp as {code!r}")
             sentences.append(replace(sentence, language=code))
-        sources.extend(corpus.source_files)
-    return Corpus(sentences=tuple(sentences), source_files=tuple(sources))
+    return Corpus(sentences=tuple(sentences))
 
 
 def seen_lemma_keys(train: Corpus) -> set[tuple[str, ...]]:

@@ -180,7 +180,7 @@ def predict_corpus(model, corpus: Corpus) -> Corpus:
         for sentence in part:
             instances = decode_tags(list(islice(tags, len(sentence))))
             predicted.append(with_instances(sentence, instances))
-    return Corpus(sentences=tuple(predicted), source_files=corpus.source_files)
+    return Corpus(sentences=tuple(predicted))
 
 
 def _chunks(offsets, max_tokens: int):

@@ -48,15 +48,17 @@ def heaviside_surrogate(x: Tensor, k: float) -> Tensor:
     """Hard step forward (1 where x > 0, else 0), logistic-slope backward.
 
     The local derivative used in backprop is k * s * (1 - s) with
-    s = sigma(k x); at x = 0 and k = 4 this is exactly 1.
+    s = sigma(k x); at x = 0 and k = 4 this is exactly 1. It is computed
+    only when backward reaches the node, so tagging never pays for it.
     """
     k = float(k)
     if k <= 0:
         raise ValueError(f"surrogate steepness must be positive, got {k}")
-    gate = (x.data > 0).astype(np.float64)
-    s = _expit(k * x.data)
+    x_data = x.data
+    gate = (x_data > 0).astype(np.float64)
 
     def vjp(g):
+        s = _expit(k * x_data)
         return g * (k * s * (1.0 - s))
 
     return _node(gate, ((x, vjp),), "heaviside")

@@ -112,6 +112,36 @@ class TestTrain:
         summary = json.loads((out / "summary.json").read_text())
         assert "best_epoch" in summary
 
+    def test_best_final_epoch_is_copied_not_re_encoded(self, tmp_path,
+                                                      monkeypatch):
+        saved = []
+        save = MweTagger.save
+
+        def counting_save(model, path):
+            saved.append(path)
+            save(model, path)
+
+        monkeypatch.setattr(MweTagger, "save", counting_save)
+        out = tmp_path / "run"
+        assert run(train_args(out, epochs=1,
+                              extra=["--dev", f"RO={RO}"])) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["best_epoch"] == 1
+        assert saved == [out / "checkpoint.json"]
+        assert (out / "checkpoint_best.json").read_bytes() \
+            == (out / "checkpoint.json").read_bytes()
+
+    def test_earlier_best_epoch_saves_its_own_state(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(train_args(out, epochs=3,
+                              extra=["--dev", f"RO={RO}"])) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["best_epoch"] == 1
+        # The first epoch of a seeded run is the whole of a one-epoch run.
+        one_epoch = tmp_path / "one_epoch"
+        assert run(train_args(one_epoch, epochs=1)) == EXIT_OK
+        best = (out / "checkpoint_best.json").read_bytes()
+        assert best == (one_epoch / "checkpoint.json").read_bytes()
+        assert best != (out / "checkpoint.json").read_bytes()
+
     def test_flags_disable_li_and_adv(self, tmp_path):
         out = tmp_path / "plain"
         assert run(train_args(out, extra=["--use-li", "false",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mweid import corpus as corpus_mod
-from mweid import evaluation
+from mweid import evaluation, inhibition
 from mweid import model as model_mod
 from mweid.corpus import Corpus
 from mweid.evaluation import (AlignmentMismatch, EvalResult, Scores,
@@ -225,8 +225,7 @@ class TestPredictCorpus:
     def one_by_one(model, corpus):
         return Corpus(sentences=tuple(
             corpus_mod.with_instances(s, corpus_mod.decode_tags(
-                model.predict_tags(s), lemmas=s.lemmas())) for s in corpus),
-            source_files=corpus.source_files)
+                model.predict_tags(s), lemmas=s.lemmas())) for s in corpus))
 
     @staticmethod
     def trained_model(corpus):
@@ -267,6 +266,20 @@ class TestPredictCorpus:
         assert model.predict_tags(sentence) == tags
         with pytest.raises(AssertionError, match="the language path ran"):
             model.predict_language(sentence)
+
+    def test_tagging_never_computes_the_gate_slope(self, bilingual_corpus,
+                                                   monkeypatch):
+        model = self.trained_model(bilingual_corpus)
+        assert model.config.use_lateral_inhibition
+        expected = evaluation.predict_corpus(model, bilingual_corpus)
+
+        def refuse(x):
+            raise AssertionError("the surrogate slope was computed")
+
+        monkeypatch.setattr(inhibition, "_expit", refuse)
+        assert evaluation.predict_corpus(model, bilingual_corpus) == expected
+        with pytest.raises(AssertionError, match="surrogate slope"):
+            train(model, bilingual_corpus, None, TrainerConfig(epochs=1))
 
     def test_chunks_bound_tokens_and_cover_in_order(self):
         offsets = np.cumsum([0, 3, 4, 2, 9, 1, 1])
