@@ -5,9 +5,10 @@ vector-Jacobian products that route adjoints to its inputs. backward()
 walks the graph once in reverse topological order, accumulating
 gradients into Parameter leaves; the graph itself is ephemeral (rebuilt
 by every forward pass), so repeated backward calls over shared
-subgraphs simply sum their contributions. An embedding lookup hands its
-table a RowSparse adjoint, so a Parameter's gradient is accumulated,
-zeroed and applied only in the rows a step used.
+subgraphs simply sum their contributions. A Parameter allocates its
+value and gradient arrays once and writes both in place, only in the
+rows it names: an embedding lookup hands its table a RowSparse adjoint
+that names the rows a step used, any other adjoint names them all.
 
 Broadcasting is deliberately restricted to a trailing-axis vector
 (bias-style) in add/mul; everything else requires exact shapes.
@@ -54,41 +55,40 @@ class Tensor:
 
 
 _NO_ROWS = np.zeros(0, dtype=np.int64)
+ALL_ROWS = ...  # indexes every entry, of a 0-d array too
 
 
 class Parameter(Tensor):
     """A named trainable leaf tensor and its accumulated gradient.
 
-    ``rows`` holds the sorted row ids of ``grad`` written since the last
-    ``zero_grad``; every other row is zero. None means any row may be
-    nonzero. Code that assigns ``grad`` must keep this true.
+    ``data`` is a copy of the given array, and it and ``grad`` are written
+    in place only. ``rows`` indexes the entries of ``grad`` written since
+    the last ``zero_grad``, which are the only ones that may be nonzero:
+    sorted row ids, or ``ALL_ROWS``.
     """
 
     __slots__ = ("name", "grad", "rows")
 
     def __init__(self, data, name: str):
-        super().__init__(data, op="param")
+        super().__init__(np.array(data, dtype=np.float64), op="param")
         self.name = name
         self.grad = np.zeros_like(self.data)
         self.rows = _NO_ROWS
 
     def zero_grad(self) -> None:
-        if self.rows is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad[self.rows] = 0.0
+        self.grad[self.rows] = 0.0
         self.rows = _NO_ROWS
 
     def accumulate(self, adjoint) -> None:
-        """Add an adjoint into ``grad``; a RowSparse one in place, in its
-        rows only, with the same float result as adding it densified."""
+        """Add an adjoint into ``grad``; a RowSparse one only in its rows,
+        with the same float result as adding it densified."""
         if not isinstance(adjoint, RowSparse):
-            self.grad = self.grad + adjoint
-            self.rows = None
+            self.grad += adjoint
+            self.rows = ALL_ROWS
             return
         ids, sums = adjoint.summed()
         self.grad[ids] += sums
-        if self.rows is not None:
+        if self.rows is not ALL_ROWS:
             self.rows = np.union1d(self.rows, ids)
 
     def __repr__(self) -> str:
@@ -348,9 +348,7 @@ def backward(loss: Tensor) -> None:
         raise NotScalarLoss(f"loss has shape {loss.shape}, expected a scalar")
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(_topo_order(loss)):
-        adjoint = adjoints.pop(id(node), None)
-        if adjoint is None:
-            continue
+        adjoint = adjoints.pop(id(node))
         if not node.vjps:
             if isinstance(node, Parameter):
                 node.accumulate(adjoint)

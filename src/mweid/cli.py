@@ -96,6 +96,24 @@ def _set_by_path(config: dict, dotted: str, raw: str) -> None:
     target[keys[-1]] = value
 
 
+def _check_shape(config: dict, origin: str) -> None:
+    """Raise a CliError unless the sections, file lists and output directory
+    in ``config`` have the types train reads them as."""
+    def bad(what: str) -> CliError:
+        return CliError(f"{origin}: {what}", EXIT_CONFIG)
+
+    for key in ("model", "trainer"):
+        if not isinstance(config.get(key, {}), dict):
+            raise bad(f"{key!r} is not an object")
+    for key in ("train", "dev"):
+        files = config.get(key, [])
+        if not (isinstance(files, list)
+                and all(isinstance(spec, str) for spec in files)):
+            raise bad(f"{key!r} is not a list of strings")
+    if not isinstance(config.get("out_dir", ""), str):
+        raise bad("'out_dir' is not a string")
+
+
 def _resolve_train_config(args) -> dict:
     config: dict = {"model": {}, "trainer": {}, "train": [], "dev": []}
     if args.config:
@@ -104,10 +122,14 @@ def _resolve_train_config(args) -> dict:
             raise CliError(f"no such config file: {path}", EXIT_CONFIG)
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            raise CliError(f"bad config file: {err}", EXIT_CONFIG) from err
-        for key, value in loaded.items():
-            config[key] = value
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise CliError(f"bad config file: {path} is not UTF-8 JSON: "
+                           f"{err}", EXIT_CONFIG) from err
+        if not isinstance(loaded, dict):
+            raise CliError("bad config file: the top level is not an object",
+                           EXIT_CONFIG)
+        _check_shape(loaded, "bad config file")
+        config.update(loaded)
     for spec in args.train or []:
         config["train"].append(spec)
     for spec in args.dev or []:
@@ -129,6 +151,7 @@ def _resolve_train_config(args) -> dict:
             raise CliError(f"--set needs key=value, got {override!r}",
                            EXIT_CONFIG)
         _set_by_path(config, dotted, raw)
+    _check_shape(config, "bad --set value")
     if not config["train"]:
         raise CliError("no training files given (config 'train' or --train)",
                        EXIT_CONFIG)

@@ -185,7 +185,10 @@ def _parse_mwe_field(raw: str, location: str) -> tuple[tuple[int, VmweCategory |
                 f"{location}: MWE id {head!r} is not an integer") from None
         if mwe_id < 1:
             raise BadMweColumn(f"{location}: MWE id must be positive, got {mwe_id}")
-        membership = (mwe_id, VmweCategory(cat) if sep else None)
+        try:
+            membership = (mwe_id, VmweCategory(cat) if sep else None)
+        except BadMweColumn as err:
+            raise BadMweColumn(f"{location}: {err}") from None
         if any(mwe_id == seen for seen, _ in memberships):
             raise BadMweColumn(
                 f"{location}: duplicate membership {part!r} of MWE {mwe_id}")
@@ -299,8 +302,17 @@ def parse_cupt(text: str, language: str | None = None,
 
 
 def parse_cupt_file(path, language: str | None = None) -> Corpus:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    """Parse a UTF-8 CUPT file; a byte that is not UTF-8 raises CuptError
+    naming the path and the byte's offset."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise CuptError(f"{path}: byte {err.start} (0x{data[err.start]:02x}) "
+                        f"is not UTF-8") from None
+    if "\r" in text:  # line ends as a file opened in text mode reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_cupt(text, language=language, source=str(path))
 
 

@@ -343,7 +343,7 @@ class MweTagger:
                 raise CheckpointError(
                     f"parameter {param.name}: shape {value.shape} does not "
                     f"match model shape {param.data.shape}")
-            param.data = value.astype(np.float64).copy()
+            param.data[...] = value
 
     def save(self, path) -> None:
         """Write a versioned JSON checkpoint, atomically.

@@ -134,11 +134,13 @@ def gold_tag_ids(model: MweTagger, sentence: Sentence) -> np.ndarray:
 
 
 def _clip_gradients(params, max_norm: float) -> None:
+    """Scale the live rows of every gradient so that their joint norm, a
+    sum over the whole arrays, is at most ``max_norm``."""
     total = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
     if total > max_norm:
         factor = max_norm / total
         for param in params:
-            param.grad = param.grad * factor
+            param.grad[param.rows] *= factor
 
 
 def encode(model: MweTagger, sentences) -> Batch:
@@ -186,12 +188,9 @@ def train_step(model: MweTagger, batch: list[Sentence] | Batch, alpha: float,
     ad.backward(total)
     if clip_grad is not None:
         _clip_gradients(params, clip_grad)
-    for param in params:
-        if param.rows is None:
-            param.data = param.data - alpha * param.grad
-        else:  # rows outside param.rows would get x - alpha * 0.0 == x
-            rows = param.rows
-            param.data[rows] = param.data[rows] - alpha * param.grad[rows]
+    for param in params:  # any other entry would get x - alpha * 0.0 == x
+        rows = param.rows
+        param.data[rows] = param.data[rows] - alpha * param.grad[rows]
     return float(loss_y.data), lang_loss, lang_correct
 
 

@@ -209,7 +209,7 @@ class TestRowSparseAdjoint:
     def test_two_lookups_of_one_table_sum(self):
         sparse, dense = self.gradients(self.two_lookups)
         assert np.array_equal(sparse.grad, dense.grad)
-        assert sparse.rows is None  # the two adjoints met and were densified
+        assert sparse.rows is ad.ALL_ROWS  # the two adjoints met and were densified
         error = finite_difference_check(
             lambda: self.two_lookups(ad.embedding_lookup, sparse), [sparse])
         assert error < 1e-7
@@ -246,7 +246,7 @@ class TestRowSparseAdjoint:
         backward(ad.sum_all(ad.embedding_lookup(table, self.ids_b)))
         assert table.rows.tolist() == [0, 4, 5]
         backward(ad.sum_all(table))
-        assert table.rows is None
+        assert table.rows is ad.ALL_ROWS
         table.zero_grad()
         assert not table.grad.any() and table.rows.size == 0
 

@@ -98,6 +98,32 @@ class TestTrain:
         report = (tmp_path / "from_config" / "report.jsonl").read_text()
         assert len(report.splitlines()) == 3
 
+    @pytest.mark.parametrize("content, extra", [
+        (b"[1, 2]", []),
+        (b'{"model": null, "train": []}', ["--seed", "1"]),
+        (b'{"trainer": [1]}', []),
+        (b'{"train": "RO=x.cupt"}', []),
+        (b'{"dev": [1]}', []),
+        (b'{"out_dir": 5}', []),
+        (b'{"out_dir": "caf\xe9"}', []),
+    ], ids=["list", "null-model", "list-trainer", "string-train", "int-dev",
+            "int-out-dir", "not-utf8"])
+    def test_malformed_config_file(self, tmp_path, capsys, content, extra):
+        config_path = tmp_path / "run.json"
+        config_path.write_bytes(content)
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(config_path), "--train", f"RO={RO}",
+                    "--out", str(out), *extra]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: bad config file: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["train=5", "dev=[1]", "out_dir=5"])
+    def test_set_value_of_the_wrong_type(self, tmp_path, capsys, setting):
+        out = tmp_path / "run"
+        assert run(train_args(out, extra=["--set", setting])) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: bad --set value: ")
+        assert not out.exists()
+
     def test_bad_config_value(self, tmp_path):
         assert run(train_args(tmp_path / "r",
                               extra=["--set", "trainer.alpha=-1"])) \
@@ -230,6 +256,16 @@ class TestTag:
             in capsys.readouterr().err
         assert out.read_text() == "occupied"
 
+    def test_non_utf8_input_is_a_parse_error(self, checkpoint, tmp_path,
+                                             capsys):
+        bad = tmp_path / "bad.cupt"
+        bad.write_bytes(b"1\tb\xe9\tb\tX\t_\t_\t_\t_\t_\t_\t*\n")
+        out = tmp_path / "p.cupt"
+        assert run(["tag", str(checkpoint), str(bad), str(out)]) == EXIT_PARSE
+        assert f"parse error: {bad}: byte 3 (0xe9) is not UTF-8" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_checkpoint(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -296,6 +332,14 @@ class TestStats:
         out = capsys.readouterr().out
         assert "all" in out and "RO" in out and "FR" in out
         assert "IRV=4" in out  # 2 per fixture file
+
+    def test_non_utf8_corpus_is_a_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cupt"
+        bad.write_bytes(open(RO, "rb").read() + b"\xe9\n")
+        assert run(["stats", f"RO={RO}", f"RO={bad}"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"parse error: {bad}: byte " in captured.err
 
 
 class TestOverfitReproduction:

@@ -1,5 +1,7 @@
 """Corpus module: CUPT parsing, tag codec, merging, keys, statistics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from mweid.corpus import (N_COLUMNS, BadMweColumn, Corpus, CuptError,
                           VmweCategory, corpus_stats, decode_tags,
                           encode_tags, extract_mwes, format_mwe_field,
                           make_lemma_key, merge_corpora, parse_cupt,
-                          seen_lemma_keys, serialize_corpus,
+                          parse_cupt_file, seen_lemma_keys, serialize_corpus,
                           with_instances)
 from conftest import (corpus_of, cupt_text, make_sentence, parse_rows,
                       random_sentence)
@@ -47,9 +49,16 @@ class TestParsing:
         with pytest.raises(MalformedLine):
             parse_cupt("1\tonly\tthree\n")
 
-    @pytest.mark.parametrize("field", ["x:VID", "0", "-1", "1:VID;1:VID", ";"])
+    @pytest.mark.parametrize("field", ["x:VID", "0", "-1", "1:VID;1:VID", ";",
+                                       "1:", "1:A:B"])
     def test_bad_mwe_column(self, field):
-        with pytest.raises(BadMweColumn):
+        with pytest.raises(BadMweColumn, match=r"^<string>:2: "):
+            parse_rows([("a", "a", field)])
+
+    @pytest.mark.parametrize("field, code", [("1:", "''"), ("1:A:B", "'A:B'")])
+    def test_bad_category_code_rejected_at_its_line(self, field, code):
+        with pytest.raises(BadMweColumn, match=rf"^<string>:2: invalid MWE "
+                                               rf"category code: {code}$"):
             parse_rows([("a", "a", field)])
 
     @pytest.mark.parametrize("field", ["1:VID;1", "1;1:VID"])
@@ -99,6 +108,21 @@ class TestParsing:
         corpus = parse_cupt(text)
         assert len(corpus.sentences[0]) == 1
 
+    def test_file_line_ends_read_as_text_mode(self, tmp_path):
+        text = cupt_text([("a", "a", "*")]) + cupt_text([("b", "b", "*")])
+        path = tmp_path / "f.cupt"
+        for ending in ("\n", "\r\n", "\r"):
+            path.write_bytes(text.replace("\n", ending).encode("utf-8"))
+            assert parse_cupt_file(path) == parse_cupt(text, source=str(path))
+
+    def test_non_utf8_file_names_path_and_offset(self, tmp_path):
+        path = tmp_path / "latin1.cupt"
+        path.write_bytes(cupt_text([("café", "café", "*")]).encode("latin-1"))
+        offset = path.read_bytes().index(b"\xe9")
+        with pytest.raises(CuptError, match=rf"^{path}: byte {offset} \(0xe9\) "
+                                            r"is not UTF-8$"):
+            parse_cupt_file(path)
+
     def test_language_stamp(self):
         corpus = parse_cupt(cupt_text([("a", "a", "*")]), language="RO")
         assert corpus.sentences[0].language == "RO"
@@ -120,7 +144,8 @@ class TestParsing:
 # row's id is often the next one its sentence expects, so that many
 # texts parse.
 _FUZZ_IDS = ("1", "2", "3", "1-2", "2.1", "x", "", "0")
-_FUZZ_MWE_FIELDS = ("*", "_", "1", "1:VID", "1;2", ":", ";", "0", " 1:VID ")
+_FUZZ_MWE_FIELDS = ("*", "_", "1", "1:VID", "1;2", ":", ";", "0", " 1:VID ",
+                    "1:", "1:A:B")
 
 
 def _often(value, strategy):
@@ -159,7 +184,10 @@ class TestParserFuzz:
     def test_parses_or_raises_cupt_error(self, text):
         try:
             corpus = parse_cupt(text)
-        except CuptError:
+        except CuptError as err:
+            location = re.match(r"<string>:(\d+): ", str(err))
+            assert location, f"no source:line in {str(err)!r}"
+            assert 1 <= int(location[1]) <= len(text.split("\n"))
             return
         once = serialize_corpus(corpus)
         again = parse_cupt(once)

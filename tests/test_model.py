@@ -206,6 +206,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             model.load_state_arrays(state)
 
+    def test_load_state_arrays_copies_into_the_same_arrays(self, tiny_corpus):
+        model = MweTagger.build(small_config(), tiny_corpus)
+        arrays = {p.name: p.data for p in model.parameters()}
+        state = MweTagger.build(small_config(seed=5), tiny_corpus).state_arrays()
+        loaded = {name: value.copy() for name, value in state.items()}
+        model.load_state_arrays(state)
+        for value in state.values():
+            value += 1.0
+        for param in model.parameters():
+            assert param.data is arrays[param.name], param.name
+            assert np.array_equal(param.data, loaded[param.name]), param.name
+
     @pytest.mark.parametrize("use_li", [True, False])
     @pytest.mark.parametrize("use_adv", [True, False])
     def test_load_rebuilds_every_head_combination(self, tiny_corpus, tmp_path,

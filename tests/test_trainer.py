@@ -10,6 +10,7 @@ import pytest
 from mweid import autodiff as ad
 from mweid import corpus as corpus_mod
 from mweid import evaluation, trainer
+from mweid import model as model_mod
 from mweid.corpus import Corpus
 from mweid.model import PAD_ID, ModelConfig, MweTagger, UnknownLanguage
 from mweid.trainer import (EmptyBatch, TrainerConfig, TrainingDiverged,
@@ -364,7 +365,7 @@ def _dense_step(model, batch, alpha, lam, clip_grad, monkeypatch):
     params = model.parameters()
     for param in params:
         param.grad = np.zeros_like(param.data)
-        param.rows = None
+        param.rows = ad.ALL_ROWS
     with monkeypatch.context() as patch:
         patch.setattr(ad, "embedding_lookup", dense_lookup)
         tag_logits, lang_logits = model.forward(batch, lam=lam)
@@ -420,3 +421,34 @@ def test_row_sparse_steps_match_dense_reference(window, clip_grad, monkeypatch):
     ad.zero_grads(model.parameters())
     for param in model.parameters():
         assert not param.grad.any(), param.name
+
+
+def test_steps_write_every_parameter_in_place(monkeypatch):
+    given = {}
+
+    def recording(data, name):
+        given[name] = (data, data.copy())
+        return ad.Parameter(data, name)
+
+    corpus = training_corpus()
+    with monkeypatch.context() as patch:
+        patch.setattr(model_mod, "Parameter", recording)
+        model = build(corpus)
+    params = model.parameters()
+    arrays = [(param.data, param.grad) for param in params]
+    table = model.extractor.embedding
+    data = trainer.encode(model, list(corpus))
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        batch = data.select(rng.choice(len(corpus), 2, replace=False))
+        train_step(model, batch, 0.5, lam=0.7, clip_grad=1e-3)
+        norm = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
+        assert norm == pytest.approx(1e-3, rel=1e-12)  # clipping fired
+        for param, (value, grad) in zip(params, arrays):
+            assert param.data is value and param.grad is grad, param.name
+            if param is not table:
+                assert param.rows is ad.ALL_ROWS, param.name
+        assert table.rows.tolist() == np.unique(batch.windows).tolist()
+    assert len(given) == len(params)
+    for name, (array, before) in given.items():
+        assert np.array_equal(array, before), name
