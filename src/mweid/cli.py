@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -161,6 +162,35 @@ def _resolve_train_config(args) -> dict:
     return config
 
 
+def _check_output_dir(out_dir: Path, force: bool) -> None:
+    """Raise a CliError unless ``out_dir`` is an empty directory (any
+    directory with ``force``) or can be created."""
+    if out_dir.exists():
+        if not out_dir.is_dir():
+            raise CliError(f"output directory {out_dir} is not a directory",
+                           EXIT_CONFIG)
+        if any(out_dir.iterdir()) and not force:
+            raise CliError(
+                f"output directory {out_dir} is not empty (use --force)",
+                EXIT_CONFIG)
+    for parent in out_dir.parents:
+        if parent.exists() and not parent.is_dir():
+            raise CliError(f"cannot create {out_dir}: {parent} is not a "
+                           f"directory", EXIT_CONFIG)
+
+
+def _check_output_file(path: Path, force: bool) -> None:
+    """Raise a CliError unless a file can be written at ``path``: its
+    directory exists, and it is no directory (nor, without ``force``, an
+    existing file)."""
+    if path.is_dir():
+        raise CliError(f"output {path} is a directory", EXIT_CONFIG)
+    if path.exists() and not force:
+        raise CliError(f"output file {path} exists (use --force)", EXIT_CONFIG)
+    if not path.parent.is_dir():
+        raise CliError(f"no such directory: {path.parent}", EXIT_CONFIG)
+
+
 def _json_text(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -172,12 +202,7 @@ def _write_text(path, text: str) -> None:
 def cmd_train(args) -> int:
     config = _resolve_train_config(args)
     out_dir = Path(config["out_dir"])
-    if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
-        raise CliError(
-            f"output directory {out_dir} is not empty (use --force)",
-            EXIT_CONFIG)
-    train_corpus = _load_merged(config["train"])
-    dev_corpus = _load_merged(config["dev"]) if config["dev"] else None
+    _check_output_dir(out_dir, args.force)
     try:
         model_config = ModelConfig(**config["model"])
         trainer_config = TrainerConfig(**config["trainer"])
@@ -186,6 +211,8 @@ def cmd_train(args) -> int:
         config_text = _json_text(config)
     except (TypeError, ValueError) as err:
         raise CliError(f"bad configuration: {err}", EXIT_CONFIG) from err
+    train_corpus = _load_merged(config["train"])
+    dev_corpus = _load_merged(config["dev"]) if config["dev"] else None
 
     try:
         model = MweTagger.build(model_config, train_corpus)
@@ -220,9 +247,7 @@ def cmd_tag(args) -> int:
     if not Path(args.checkpoint).is_file():
         raise CliError(f"no such checkpoint: {args.checkpoint}", EXIT_CONFIG)
     output = Path(args.output)
-    if output.exists() and not args.force:
-        raise CliError(f"output file {output} exists (use --force)",
-                       EXIT_CONFIG)
+    _check_output_file(output, args.force)
     try:
         model = MweTagger.load(args.checkpoint)
     except CheckpointError as err:
@@ -235,6 +260,8 @@ def cmd_tag(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.report:
+        _check_output_file(Path(args.report), force=True)
     gold, _ = _load_part(args.gold)
     pred, _ = _load_part(args.pred)
     train_parts = []
@@ -326,8 +353,11 @@ def _gradcheck_cases(corrupt_adjoint: bool):
 
 
 def cmd_gradcheck(args) -> int:
-    cases, layer, x_li = _gradcheck_cases(args.inject_error)
     h = args.step
+    if not 0 < h < math.inf:
+        raise CliError(f"--step must be a finite number > 0, got {h}",
+                       EXIT_CONFIG)
+    cases, layer, x_li = _gradcheck_cases(args.inject_error)
     failed = []
     for name, params, f in cases:
         error = ad.finite_difference_check(f, params, h=h)

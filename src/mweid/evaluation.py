@@ -13,15 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from itertools import accumulate, islice
 
 from .corpus import (Corpus, MweInstance, Sentence, decode_tags, extract_mwes,
                      seen_lemma_keys, with_instances)
-
-# Tokens encoded and tagged together by predict_corpus. Larger chunks save
-# little time, and each chunk's activations (window ids, hidden rows, logits)
-# grow with its token count, so the bound caps peak memory.
-CHUNK_TOKENS = 512
 
 
 class TokenizationMismatch(ValueError):
@@ -165,33 +159,18 @@ def evaluate(gold: Corpus, pred: Corpus, train: Corpus | set,
 def predict_corpus(model, corpus: Corpus) -> Corpus:
     """Tag every sentence and rewrite its MWE column from the decoder.
 
-    Consecutive sentences are encoded and tagged together, up to
-    CHUNK_TOKENS tokens at a time (a longer sentence alone), by
-    ``model.predict_tags``; ties pick the lowest tag index.
+    The corpus is encoded once and tagged by ``model.predict_tags``; ties
+    pick the lowest tag index.
     """
     sentences = corpus.sentences
     if not sentences:
         return corpus
-    offsets = list(accumulate((len(s) for s in sentences), initial=0))
-    predicted = []
-    for chunk in _chunks(offsets, CHUNK_TOKENS):
-        part = sentences[chunk.start:chunk.stop]
-        tags = iter(model.predict_tags(model.extractor.encode(part)))
-        for sentence in part:
-            instances = decode_tags(list(islice(tags, len(sentence))))
-            predicted.append(with_instances(sentence, instances))
-    return Corpus(sentences=tuple(predicted))
-
-
-def _chunks(offsets, max_tokens: int):
-    """Ranges of consecutive sentence indices with at most ``max_tokens``
-    tokens together; a longer sentence forms a range of its own."""
-    first = 0
-    for last in range(1, len(offsets) - 1):
-        if offsets[last + 1] - offsets[first] > max_tokens:
-            yield range(first, last)
-            first = last
-    yield range(first, len(offsets) - 1)
+    batch = model.extractor.encode(sentences)
+    tags = model.predict_tags(batch)
+    offsets = batch.offsets.tolist()
+    return Corpus(sentences=tuple(
+        with_instances(sentence, decode_tags(tags[offsets[i]:offsets[i + 1]]))
+        for i, sentence in enumerate(sentences)))
 
 
 def format_table(result: EvalResult, label: str = "model") -> str:

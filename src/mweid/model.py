@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,6 +33,11 @@ from .inhibition import INITIAL_BIAS, LateralInhibitionLayer
 PAD_ID = 0
 UNK_ID = 1
 _RESERVED = ("<pad>", "<unk>")
+
+# Token rows tagged together by MweTagger.predict_tags. Larger blocks save
+# little time, and each block's activations (window ids, hidden rows,
+# logits) grow with its row count, so the bound caps peak memory.
+CHUNK_TOKENS = 512
 
 CHECKPOINT_FORMAT = "mweid-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -46,12 +51,27 @@ class CheckpointError(ValueError):
     """A checkpoint file is not a valid checkpoint of this format/version."""
 
 
-def check_finite(config) -> None:
-    """Raise ValueError naming the first float field of a config that is
-    NaN or infinite (every other check then compares finite values)."""
-    for name, value in vars(config).items():
+# Config field annotations (strings, as annotations are not evaluated here)
+# -> what a value must be and the types it may have. A bool is never a number.
+_FIELD_TYPES = {"int": ("an integer", (int,)),
+                "float": ("a number", (int, float)),
+                "float | None": ("a number or null", (int, float, type(None))),
+                "bool": ("true or false", (bool,)),
+                "str": ("a string", (str,))}
+
+
+def check_fields(config) -> None:
+    """Raise ValueError naming the first field of a config whose value is
+    not of its annotated type, or is a NaN or infinite float (every other
+    check then compares finite numbers)."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        what, types = _FIELD_TYPES[field.type]
+        if not isinstance(value, types) \
+                or (isinstance(value, bool) and bool not in types):
+            raise ValueError(f"{field.name} must be {what}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+            raise ValueError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass
@@ -67,7 +87,7 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        check_finite(self)
+        check_fields(self)
         for name in ("embedding_dim", "hidden_dim", "disc_hidden_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -77,6 +97,8 @@ class ModelConfig:
             raise ValueError("steepness must be > 0")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def build_vocab(corpus: Corpus) -> dict[str, int]:
@@ -321,11 +343,21 @@ class MweTagger:
     def predict_tags(self, sentence: Sentence | Batch) -> list[str]:
         """Argmax tag per token; ties pick the lowest tag index.
 
-        Runs only the extractor and the tag classifier; a Batch gives the
-        tags of all its token rows in order.
+        Runs only the extractor and the tag classifier, over at most
+        CHUNK_TOKENS token rows at a time; a Batch gives the tags of all
+        its token rows in order.
         """
-        tag_logits = self.classifier.logits(self.extractor.features(sentence))
-        return [self.tagset[i] for i in tag_logits.data.argmax(axis=1)]
+        windows = (sentence if isinstance(sentence, Batch)
+                   else self.extractor.encode([sentence])).windows
+        tag_ids = []
+        for start in range(0, len(windows), CHUNK_TOKENS):
+            rows = windows[start:start + CHUNK_TOKENS]
+            # A token's row already pads its sentence's edges, so a block
+            # may cut through sentences; tagging never reads the offsets.
+            block = Batch(rows, np.array([0, len(rows)]))
+            logits = self.classifier.logits(self.extractor.features(block))
+            tag_ids.extend(logits.data.argmax(axis=1).tolist())
+        return [self.tagset[i] for i in tag_ids]
 
     def predict_language(self, sentence: Sentence) -> str:
         if self.discriminator is None:

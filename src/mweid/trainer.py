@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import Corpus, Sentence, encode_tags, seen_lemma_keys
 from .evaluation import evaluate, predict_corpus
-from .model import Batch, MweTagger, check_finite
+from .model import Batch, MweTagger, check_fields
 
 SCHEDULES = ("constant", "dann_ramp")
 
@@ -61,7 +61,7 @@ class TrainerConfig:
     clip_grad: float | None = None
 
     def validate(self) -> None:
-        check_finite(self)
+        check_fields(self)
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
         if self.lam < 0:
@@ -70,6 +70,8 @@ class TrainerConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.lambda_schedule not in SCHEDULES:
             raise ValueError(
                 f"lambda_schedule must be one of {SCHEDULES}, "

@@ -23,6 +23,10 @@ def run(args):
     return main(args)
 
 
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
 def train_args(out, epochs=3, extra=()):
     return ["train", "--train", f"RO={RO}", "--train", f"FR={FR}",
             "--out", str(out), "--epochs", str(epochs), "--seed", "1",
@@ -123,6 +127,49 @@ class TestTrain:
         assert run(train_args(out, extra=["--set", setting])) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: bad --set value: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--set", "trainer.epochs=2.5"], "epochs must be an integer"),
+        (["--set", "trainer.batch_size=2.0"], "batch_size must be an integer"),
+        (["--set", "model.window=1.5"], "window must be an integer"),
+        (["--set", "trainer.epochs=true"], "epochs must be an integer"),
+        (["--set", 'model.use_adversarial="no"'],
+         "use_adversarial must be true or false"),
+        (["--set", "trainer.alpha=true"], "alpha must be a number"),
+        (["--seed", "-1"], "seed must be >= 0"),
+    ], ids=["float-epochs", "float-batch-size", "float-window", "bool-epochs",
+            "string-adversarial", "bool-alpha", "negative-seed"])
+    def test_setting_of_the_wrong_type_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch, extra, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a corpus was parsed")
+
+        monkeypatch.setattr(cli, "parse_cupt_file", refuse)
+        out = tmp_path / "run"
+        assert run(train_args(out, extra=extra)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"error: bad configuration: {message}")
+        assert not out.exists()
+
+    def test_output_directory_that_is_a_file(self, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr(cli, "parse_cupt_file", _refuse_work)
+        out = tmp_path / "F"
+        out.write_text("kept")
+        assert run(train_args(out)) == EXIT_CONFIG
+        assert f"error: output directory {out} is not a directory" \
+            in capsys.readouterr().err
+        assert out.read_text() == "kept"
+
+    def test_output_directory_under_a_file(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(cli, "parse_cupt_file", _refuse_work)
+        parent = tmp_path / "F"
+        parent.write_text("kept")
+        assert run(train_args(parent / "run")) == EXIT_CONFIG
+        assert f"error: cannot create {parent / 'run'}: {parent} is not a " \
+            f"directory" in capsys.readouterr().err
+        assert parent.read_text() == "kept"
 
     def test_bad_config_value(self, tmp_path):
         assert run(train_args(tmp_path / "r",
@@ -256,6 +303,45 @@ class TestTag:
             in capsys.readouterr().err
         assert out.read_text() == "occupied"
 
+    def test_output_in_a_missing_directory(self, checkpoint, tmp_path,
+                                           monkeypatch, capsys):
+        monkeypatch.setattr(cli.MweTagger, "load", _refuse_work)
+        monkeypatch.setattr(cli, "parse_cupt_file", _refuse_work)
+        out = tmp_path / "missing" / "out.cupt"
+        assert run(["tag", str(checkpoint), RO, str(out)]) == EXIT_CONFIG
+        assert f"error: no such directory: {out.parent}" \
+            in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_output_that_is_a_directory(self, checkpoint, tmp_path,
+                                        monkeypatch, capsys):
+        monkeypatch.setattr(cli.MweTagger, "load", _refuse_work)
+        monkeypatch.setattr(cli, "parse_cupt_file", _refuse_work)
+        out = tmp_path / "D"
+        out.mkdir()
+        assert run(["tag", str(checkpoint), RO, str(out), "--force"]) \
+            == EXIT_CONFIG
+        assert f"error: output {out} is a directory" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("window", 1.0, "window must be an integer, got 1.0"),
+        ("use_adversarial", "no", "use_adversarial must be true or false"),
+    ], ids=["float-window", "string-adversarial"])
+    def test_checkpoint_config_of_the_wrong_type_exits_2(
+            self, tmp_path, capsys, key, value, message):
+        path = tmp_path / "model.json"
+        corpus = merge_corpora([(parse_cupt_file(RO), "RO")])
+        MweTagger.build(ModelConfig(), corpus).save(path)
+        payload = json.loads(path.read_text())
+        payload["config"][key] = value
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "p.cupt"
+        assert run(["tag", str(path), RO, str(out)]) == EXIT_CONFIG
+        assert f"error: bad checkpoint: bad config: {message}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_utf8_input_is_a_parse_error(self, checkpoint, tmp_path,
                                              capsys):
         bad = tmp_path / "bad.cupt"
@@ -304,6 +390,16 @@ class TestEval:
             == EXIT_CONFIG
         assert not report.exists()
 
+    def test_report_in_a_missing_directory(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(cli, "parse_cupt_file", _refuse_work)
+        report = tmp_path / "missing" / "e.json"
+        assert run(["eval", RO, RO, "--train", f"RO={RO}",
+                    "--report", str(report)]) == EXIT_CONFIG
+        assert f"error: no such directory: {report.parent}" \
+            in capsys.readouterr().err
+        assert not report.parent.exists()
+
     def test_alignment_mismatch_exit_code(self, tmp_path):
         assert run(["eval", RO, FR, "--train", f"RO={RO}"]) == EXIT_ALIGNMENT
 
@@ -324,6 +420,14 @@ class TestGradcheck:
     def test_injected_error_detected(self, capsys):
         assert run(["gradcheck", "--inject-error"]) == EXIT_GRADCHECK
         assert "corrupted_adjoint" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("step", ["0", "nan", "inf", "-1e-5"])
+    def test_step_must_be_finite_and_positive(self, capsys, step):
+        assert run(["gradcheck", f"--step={step}"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --step must be a finite number "
+                                       "> 0, got ")
+        assert captured.out == ""
 
 
 class TestStats:

@@ -244,7 +244,7 @@ class TestPredictCorpus:
         rng = np.random.default_rng(21)
         corpus = corpus_of(*[random_sentence(rng, sent_id=f"r{i}")
                              for i in range(200)], language="RO")
-        assert sum(len(s) for s in corpus) > 2 * evaluation.CHUNK_TOKENS
+        assert sum(len(s) for s in corpus) > 2 * model_mod.CHUNK_TOKENS
         model = self.trained_model(corpus)
         predicted = evaluation.predict_corpus(model, corpus)
         assert predicted == self.one_by_one(model, corpus)
@@ -281,9 +281,33 @@ class TestPredictCorpus:
         with pytest.raises(AssertionError, match="surrogate slope"):
             train(model, bilingual_corpus, None, TrainerConfig(epochs=1))
 
-    def test_chunks_bound_tokens_and_cover_in_order(self):
-        offsets = np.cumsum([0, 3, 4, 2, 9, 1, 1])
-        chunks = list(evaluation._chunks(offsets, 6))
-        assert [list(c) for c in chunks] == [[0], [1, 2], [3], [4, 5]]
-        assert [list(c) for c in evaluation._chunks(offsets, 100)] \
-            == [[0, 1, 2, 3, 4, 5]]
+    def test_block_size_does_not_change_the_tags(self, bilingual_corpus,
+                                                 monkeypatch):
+        model = self.trained_model(bilingual_corpus)
+        expected = self.one_by_one(model, bilingual_corpus)
+        assert any(corpus_mod.extract_mwes(s) for s in expected)
+        for block in (1, 7, 10**6):
+            monkeypatch.setattr(model_mod, "CHUNK_TOKENS", block)
+            assert evaluation.predict_corpus(model, bilingual_corpus) \
+                == expected
+
+    def test_no_features_call_exceeds_a_block(self, bilingual_corpus,
+                                              monkeypatch):
+        model = self.trained_model(bilingual_corpus)
+        forms = [t.form for s in bilingual_corpus for t in s.tokens]
+        n = 2 * model_mod.CHUNK_TOKENS + 5
+        long = make_sentence((forms * (n // len(forms) + 1))[:n],
+                             sent_id="long")
+        corpus = Corpus(sentences=(*bilingual_corpus.sentences, long))
+        expected = self.one_by_one(model, corpus)
+        rows = []
+        features = model_mod.FeatureExtractor.features
+
+        def counted(extractor, batch):
+            rows.append(len(batch))
+            return features(extractor, batch)
+
+        monkeypatch.setattr(model_mod.FeatureExtractor, "features", counted)
+        assert evaluation.predict_corpus(model, corpus) == expected
+        assert sum(rows) == sum(len(s) for s in corpus)
+        assert max(rows) <= model_mod.CHUNK_TOKENS

@@ -46,6 +46,24 @@ class TestInventories:
         with pytest.raises(ValueError):
             small_config(lam=-1.0).validate()
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("window", 1.5, "window must be an integer, got 1.5"),
+        ("hidden_dim", 6.0, "hidden_dim must be an integer, got 6.0"),
+        ("embedding_dim", True, "embedding_dim must be an integer, got True"),
+        ("steepness", True, "steepness must be a number, got True"),
+        ("use_adversarial", "no", "use_adversarial must be true or false"),
+        ("use_lateral_inhibition", 1, "use_lateral_inhibition must be true"),
+        ("seed", -1, "seed must be >= 0"),
+    ], ids=["float-window", "float-hidden-dim", "bool-embedding-dim",
+            "bool-steepness", "string-adversarial", "int-inhibition",
+            "negative-seed"])
+    def test_config_value_of_the_wrong_type(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            small_config(**{name: value}).validate()
+
+    def test_float_fields_take_integers(self):
+        small_config(steepness=10, lam=0).validate()
+
 
 class TestFeatures:
     def test_single_token_row_count(self, tiny_corpus):
@@ -275,6 +293,16 @@ def _invalid_config_value(payload):
     return payload
 
 
+def _float_window(payload):
+    payload["config"]["window"] = 1.0
+    return payload
+
+
+def _string_adversarial(payload):
+    payload["config"]["use_adversarial"] = "no"
+    return payload
+
+
 def _nan_steepness(payload):
     payload["config"]["steepness"] = math.nan
     return payload
@@ -308,6 +336,8 @@ def _swapped_reserved(payload):
     (_nan_value, "non-finite"),
     (_unknown_config_key, "bad config"),
     (_invalid_config_value, "bad config"),
+    (_float_window, "bad config: window must be an integer, got 1.0"),
+    (_string_adversarial, "bad config: use_adversarial must be true or false"),
     (_nan_steepness, "bad config: steepness must be finite"),
     (_infinite_lam, "bad config: lam must be finite"),
     (lambda payload: [payload], "not a mweid-checkpoint"),

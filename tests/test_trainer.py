@@ -183,6 +183,25 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainerConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("batch_size", 2.0, "batch_size must be an integer, got 2.0"),
+        ("epochs", True, "epochs must be an integer, got True"),
+        ("alpha", True, "alpha must be a number, got True"),
+        ("shuffle", "no", "shuffle must be true or false, got 'no'"),
+        ("clip_grad", False, "clip_grad must be a number or null"),
+        ("lambda_schedule", 1, "lambda_schedule must be a string, got 1"),
+        ("seed", -1, "seed must be >= 0"),
+    ], ids=["float-epochs", "float-batch-size", "bool-epochs", "bool-alpha",
+            "string-shuffle", "bool-clip-grad", "int-schedule",
+            "negative-seed"])
+    def test_setting_of_the_wrong_type_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainerConfig(**{field: value}).validate()
+
+    def test_float_settings_take_integers(self):
+        TrainerConfig(alpha=1, lam=0, clip_grad=5).validate()
+
     def test_bad_schedule_rejected(self):
         with pytest.raises(ValueError):
             TrainerConfig(lambda_schedule="linear").validate()
