@@ -61,10 +61,7 @@ def _load_part(spec: str):
     language, path = _parse_lang_spec(spec)
     if not Path(path).is_file():
         raise CliError(f"no such file: {path}", EXIT_CONFIG)
-    try:
-        return parse_cupt_file(path, language=language), language
-    except CuptError as err:
-        raise CliError(f"parse error: {err}", EXIT_PARSE) from err
+    return parse_cupt_file(path, language=language), language
 
 
 def _load_merged(specs: list[str]):
@@ -76,10 +73,7 @@ def _load_merged(specs: list[str]):
                 f"training/eval inputs need a language code: LANG={spec}",
                 EXIT_CONFIG)
         parts.append((corpus, language))
-    try:
-        return merge_corpora(parts)
-    except CuptError as err:
-        raise CliError(str(err), EXIT_PARSE) from err
+    return merge_corpora(parts)
 
 
 def _set_by_path(config: dict, dotted: str, raw: str) -> None:
@@ -98,11 +92,15 @@ def _set_by_path(config: dict, dotted: str, raw: str) -> None:
 
 
 def _check_shape(config: dict, origin: str) -> None:
-    """Raise a CliError unless the sections, file lists and output directory
-    in ``config`` have the types train reads them as."""
+    """Raise a CliError unless ``config`` holds only the sections, file lists
+    and output directory train reads, with the types train reads them as."""
     def bad(what: str) -> CliError:
         return CliError(f"{origin}: {what}", EXIT_CONFIG)
 
+    known = ("model", "trainer", "train", "dev", "out_dir")
+    for key in config:
+        if key not in known:
+            raise bad(f"unknown key {key!r}; expected one of {', '.join(known)}")
     for key in ("model", "trainer"):
         if not isinstance(config.get(key, {}), dict):
             raise bad(f"{key!r} is not an object")
@@ -472,7 +470,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
     except CuptError as err:
-        print(f"parse error: {err}", file=sys.stderr)
+        print(f"error: parse error: {err}", file=sys.stderr)
         return EXIT_PARSE
 
 

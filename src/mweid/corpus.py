@@ -162,7 +162,7 @@ class CorpusStats:
     by_language: dict[str, "CorpusStats"] = field(default_factory=dict)
 
 
-def _parse_mwe_field(raw: str, location: str) -> tuple[tuple[int, VmweCategory | None], ...]:
+def _parse_mwe_field(raw: str) -> tuple[tuple[int, VmweCategory | None], ...]:
     """Parse a PARSEME:MWE column value into (id, category) memberships.
 
     "*" and "_" mean no membership; "3" is a bare continuation of MWE 3;
@@ -176,22 +176,17 @@ def _parse_mwe_field(raw: str, location: str) -> tuple[tuple[int, VmweCategory |
     for part in raw.split(";"):
         part = part.strip()
         if not part:
-            raise BadMweColumn(f"{location}: empty item in MWE field {raw!r}")
+            raise BadMweColumn(f"empty item in MWE field {raw!r}")
         head, sep, cat = part.partition(":")
         try:
             mwe_id = int(head)
         except ValueError:
-            raise BadMweColumn(
-                f"{location}: MWE id {head!r} is not an integer") from None
+            raise BadMweColumn(f"MWE id {head!r} is not an integer") from None
         if mwe_id < 1:
-            raise BadMweColumn(f"{location}: MWE id must be positive, got {mwe_id}")
-        try:
-            membership = (mwe_id, VmweCategory(cat) if sep else None)
-        except BadMweColumn as err:
-            raise BadMweColumn(f"{location}: {err}") from None
+            raise BadMweColumn(f"MWE id must be positive, got {mwe_id}")
+        membership = (mwe_id, VmweCategory(cat) if sep else None)
         if any(mwe_id == seen for seen, _ in memberships):
-            raise BadMweColumn(
-                f"{location}: duplicate membership {part!r} of MWE {mwe_id}")
+            raise BadMweColumn(f"duplicate membership {part!r} of MWE {mwe_id}")
         memberships.append(membership)
     return tuple(memberships)
 
@@ -206,7 +201,7 @@ def format_mwe_field(memberships) -> str:
     return ";".join(items)
 
 
-def _check_mwe_rules(tokens, location: str):
+def _check_mwe_rules(tokens):
     """Check that MWE ids are 1..m and each MWE's category sits on its first
     member only; return ({id: member token ids}, {id: category}).
     """
@@ -221,61 +216,61 @@ def _check_mwe_rules(tokens, location: str):
                 categories[mwe_id] = category
     ids = sorted(members)
     if ids != list(range(1, len(ids) + 1)):
-        raise NonContiguousIds(
-            f"{location}: MWE ids {ids} do not form 1..{len(ids)}")
+        raise NonContiguousIds(f"MWE ids {ids} do not form 1..{len(ids)}")
     for mwe_id, positions in members.items():
         carrying = bearers.get(mwe_id, [])
         if not carrying:
             raise DanglingMweId(
-                f"{location}: MWE {mwe_id} has no category-bearing component")
+                f"MWE {mwe_id} has no category-bearing component")
         if len(carrying) > 1:
             raise BadMweColumn(
-                f"{location}: MWE {mwe_id} carries a category on tokens "
+                f"MWE {mwe_id} carries a category on tokens "
                 f"{carrying}; only one component may bear it")
         if carrying[0] != min(positions):
             raise BadMweColumn(
-                f"{location}: MWE {mwe_id} category must sit on its first "
+                f"MWE {mwe_id} category must sit on its first "
                 f"component (token {min(positions)}), found on {carrying[0]}")
     return members, categories
 
 
 def _parse_block(rows, language, source) -> Sentence:
-    """Build one sentence from its block's non-blank (line number, line) pairs."""
+    """Build one sentence from its block's non-blank (line number, line) pairs;
+    a CuptError names its row, or the first line for a whole-block check."""
     comments: list[str] = []
     tokens: list[Token] = []
     extra_rows: list[tuple[int, str]] = []
-    for line_no, line in rows:
-        if line.startswith("#"):
-            comments.append(line)
-            continue
-        cols = line.split("\t")
-        if len(cols) != N_COLUMNS:
-            raise MalformedLine(
-                f"{source}:{line_no}: expected {N_COLUMNS} tab-separated "
-                f"columns, got {len(cols)}")
-        raw_id = cols[0]
-        if "-" in raw_id or "." in raw_id:
-            # Range or empty-node row: no MWE annotation, kept verbatim.
-            extra_rows.append((len(tokens), line))
-            continue
-        try:
-            tok_id = int(raw_id)
-        except ValueError:
-            raise MalformedLine(
-                f"{source}:{line_no}: token id {raw_id!r} is not an integer"
-            ) from None
-        tokens.append(Token(
-            id=tok_id, form=cols[1], lemma=cols[2], upos=cols[3],
-            misc_columns=tuple(cols[4:10]),
-            mwe_tags=_parse_mwe_field(cols[10], f"{source}:{line_no}"),
-            mwe_raw=cols[10]))
-    location = f"{source}:{rows[0][0]}"
-    if not tokens:
-        raise MalformedLine(f"{location}: sentence block contains no token lines")
-    ids = [t.id for t in tokens]
-    if ids != list(range(1, len(ids) + 1)):
-        raise NonContiguousIds(f"{location}: token ids {ids} are not 1..{len(ids)}")
-    _check_mwe_rules(tokens, location)
+    try:
+        for line_no, line in rows:
+            if line.startswith("#"):
+                comments.append(line)
+                continue
+            cols = line.split("\t")
+            if len(cols) != N_COLUMNS:
+                raise MalformedLine(f"expected {N_COLUMNS} tab-separated "
+                                    f"columns, got {len(cols)}")
+            raw_id = cols[0]
+            if "-" in raw_id or "." in raw_id:
+                # Range or empty-node row: no MWE annotation, kept verbatim.
+                extra_rows.append((len(tokens), line))
+                continue
+            try:
+                tok_id = int(raw_id)
+            except ValueError:
+                raise MalformedLine(
+                    f"token id {raw_id!r} is not an integer") from None
+            tokens.append(Token(
+                id=tok_id, form=cols[1], lemma=cols[2], upos=cols[3],
+                misc_columns=tuple(cols[4:10]),
+                mwe_tags=_parse_mwe_field(cols[10]), mwe_raw=cols[10]))
+        line_no = rows[0][0]
+        if not tokens:
+            raise MalformedLine("sentence block contains no token lines")
+        ids = [t.id for t in tokens]
+        if ids != list(range(1, len(ids) + 1)):
+            raise NonContiguousIds(f"token ids {ids} are not 1..{len(ids)}")
+        _check_mwe_rules(tokens)
+    except CuptError as err:
+        raise type(err)(f"{source}:{line_no}: {err}") from None
     sent_id = ""
     for line in comments:
         key, sep, value = line[1:].partition("=")
@@ -355,8 +350,10 @@ def serialize_corpus(corpus: Corpus) -> str:
 
 def extract_mwes(sentence: Sentence) -> list[MweInstance]:
     """Collect one MweInstance per distinct MWE id, ordered by id."""
-    members, categories = _check_mwe_rules(
-        sentence.tokens, f"sentence {sentence.sent_id!r}")
+    try:
+        members, categories = _check_mwe_rules(sentence.tokens)
+    except CuptError as err:
+        raise type(err)(f"sentence {sentence.sent_id!r}: {err}") from None
     lemmas = sentence.lemmas()
     instances = []
     for mwe_id in sorted(members):

@@ -24,10 +24,12 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .corpus import Corpus, Sentence, _write_atomic, extract_mwes
+from .corpus import (BadMweColumn, Corpus, Sentence, VmweCategory,
+                     _write_atomic, extract_mwes)
 from .inhibition import INITIAL_BIAS, LateralInhibitionLayer
 
 PAD_ID = 0
@@ -112,18 +114,23 @@ def build_vocab(corpus: Corpus) -> dict[str, int]:
 
 
 def build_tagset(corpus: Corpus) -> list[str]:
-    """Closed IOB2 alphabet: "O" first, then B-/I- per sorted category.
+    """Closed IOB2 alphabet of the corpus's categories (see ``_tag_layout``)."""
+    categories: set[str] = set()
+    for sentence in corpus:
+        for instance in extract_mwes(sentence):
+            categories.add(str(instance.category))
+    return _tag_layout(categories)
+
+
+def _tag_layout(categories) -> list[str]:
+    """"O" first, then B-/I- per distinct category in sorted order.
 
     The position in this list is the tag's logit index; prediction ties
     resolve to the lowest index, so the ordering is part of the model's
     observable behaviour and is stored in checkpoints.
     """
-    categories: set[str] = set()
-    for sentence in corpus:
-        for instance in extract_mwes(sentence):
-            categories.add(str(instance.category))
     tagset = ["O"]
-    for category in sorted(categories):
+    for category in sorted(set(categories)):
         tagset.extend((f"B-{category}", f"I-{category}"))
     return tagset
 
@@ -192,15 +199,16 @@ class FeatureExtractor:
     def encode(self, sentences) -> Batch:
         """The sentences as one Batch of window-id rows."""
         offsets = np.cumsum([0] + [len(s) for s in sentences])
-        ids = np.concatenate([self.token_ids(s) for s in sentences])
-        owner = np.repeat(np.arange(len(sentences)), np.diff(offsets))
+        # One id stream with w PAD_IDs before, between and after the
+        # sentences: token i's window is the stream slice starting at
+        # starts[i], so no window reaches into a neighbouring sentence.
         w = self.window
-        positions = np.arange(len(ids))[:, None] + np.arange(-w, w + 1)
-        inside = ((positions >= offsets[owner, None])
-                  & (positions < offsets[owner + 1, None]))
-        windows = np.where(inside, ids[np.clip(positions, 0, len(ids) - 1)],
-                           PAD_ID)
-        return Batch(windows, offsets)
+        starts = np.arange(offsets[-1]) \
+            + w * np.repeat(np.arange(len(sentences)), np.diff(offsets))
+        stream = np.full(offsets[-1] + w * (len(sentences) + 1), PAD_ID,
+                         dtype=np.int64)
+        stream[starts + w] = np.concatenate([self.token_ids(s) for s in sentences])
+        return Batch(sliding_window_view(stream, 2 * w + 1)[starts], offsets)
 
     def features(self, sentence: Sentence | Batch) -> Tensor:
         """One hidden-width row per token; windows padded at sentence edges."""
@@ -355,8 +363,10 @@ class MweTagger:
             # A token's row already pads its sentence's edges, so a block
             # may cut through sentences; tagging never reads the offsets.
             block = Batch(rows, np.array([0, len(rows)]))
-            logits = self.classifier.logits(self.extractor.features(block))
-            tag_ids.extend(logits.data.argmax(axis=1).tolist())
+            # One statement, so each block's graph is freed before the next
+            # block's is built.
+            tag_ids.extend(self.classifier.logits(self.extractor.features(block))
+                           .data.argmax(axis=1).tolist())
         return [self.tagset[i] for i in tag_ids]
 
     def predict_language(self, sentence: Sentence) -> str:
@@ -410,8 +420,8 @@ class MweTagger:
         """Read a checkpoint written by ``save``; CheckpointError if invalid.
 
         Checked: format and version, the config, duplicate-free
-        inventories, and exactly the wired parameters with their wired
-        shapes and finite values.
+        inventories, the tagset's layout, and exactly the wired parameters
+        with their wired shapes and finite values.
         """
         try:
             with open(path, encoding="utf-8") as handle:
@@ -433,6 +443,7 @@ class MweTagger:
                                     for key in ("vocab", "tagset", "languages"))
         if tuple(vocab[:len(_RESERVED)]) != _RESERVED:
             raise CheckpointError(f"vocab must start with {', '.join(_RESERVED)}")
+        _check_tagset(tagset)
         stored = payload.get("parameters")
         if not isinstance(stored, dict):
             raise CheckpointError("parameters must be an object")
@@ -477,6 +488,20 @@ def _inventory(payload: dict, key: str) -> list[str]:
             or len(set(items)) != len(items):
         raise CheckpointError(f"{key} must be a list of distinct strings")
     return items
+
+
+def _check_tagset(tagset: list[str]) -> None:
+    """Raise CheckpointError unless ``tagset`` is the ``_tag_layout`` of valid
+    category codes, as ``build_tagset`` makes it."""
+    categories = [tag[2:] for tag in tagset[1::2]]
+    try:
+        for code in categories:
+            VmweCategory(code)
+    except BadMweColumn as err:
+        raise CheckpointError(f"tagset: {err}") from err
+    if tagset != _tag_layout(categories):
+        raise CheckpointError(f"tagset must be 'O', then B-c, I-c for each "
+                              f"category c in sorted order, got {tagset}")
 
 
 def _stored_source(stored: dict):

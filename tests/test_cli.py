@@ -101,6 +101,13 @@ class TestTrain:
         assert resolved["trainer"]["epochs"] == 3
         report = (tmp_path / "from_config" / "report.jsonl").read_text()
         assert len(report.splitlines()) == 3
+        # The echoed configuration re-runs to the same checkpoint.
+        again = tmp_path / "again"
+        assert run(["train", "--config",
+                    str(tmp_path / "from_config" / "config.json"),
+                    "--out", str(again)]) == EXIT_OK
+        assert (again / "checkpoint.json").read_bytes() == \
+            (tmp_path / "from_config" / "checkpoint.json").read_bytes()
 
     @pytest.mark.parametrize("content, extra", [
         (b"[1, 2]", []),
@@ -110,8 +117,10 @@ class TestTrain:
         (b'{"dev": [1]}', []),
         (b'{"out_dir": 5}', []),
         (b'{"out_dir": "caf\xe9"}', []),
+        (b'{"mdoel": {"window": 3}}', []),
+        (b'{"epochs": 50}', []),
     ], ids=["list", "null-model", "list-trainer", "string-train", "int-dev",
-            "int-out-dir", "not-utf8"])
+            "int-out-dir", "not-utf8", "misspelt-section", "unknown-key"])
     def test_malformed_config_file(self, tmp_path, capsys, content, extra):
         config_path = tmp_path / "run.json"
         config_path.write_bytes(content)
@@ -121,7 +130,8 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: bad config file: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("setting", ["train=5", "dev=[1]", "out_dir=5"])
+    @pytest.mark.parametrize("setting", ["train=5", "dev=[1]", "out_dir=5",
+                                         "mdoel.window=3", "epochs=50"])
     def test_set_value_of_the_wrong_type(self, tmp_path, capsys, setting):
         out = tmp_path / "run"
         assert run(train_args(out, extra=["--set", setting])) == EXIT_CONFIG
@@ -342,14 +352,34 @@ class TestTag:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("first, message", [
+        ("B-L:V", "tagset: invalid MWE category code: 'L:V'"),
+        ("X-{}", "tagset must be 'O', then B-c, I-c for each category"),
+    ], ids=["bad-code", "bad-prefix"])
+    def test_checkpoint_tagset_out_of_layout_exits_2(
+            self, tmp_path, capsys, monkeypatch, first, message):
+        # Before, a bad code failed with exit 3 after tagging the whole input,
+        # and a bad prefix tagged as a gap and exited 0.
+        path = tmp_path / "model.json"
+        corpus = merge_corpora([(parse_cupt_file(RO), "RO")])
+        MweTagger.build(ModelConfig(), corpus).save(path)
+        payload = json.loads(path.read_text())
+        payload["tagset"][1] = first.format(payload["tagset"][1][2:])
+        path.write_text(json.dumps(payload))
+        monkeypatch.setattr(cli, "parse_cupt_file", _refuse_work)
+        out = tmp_path / "p.cupt"
+        assert run(["tag", str(path), RO, str(out)]) == EXIT_CONFIG
+        assert f"error: bad checkpoint: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_utf8_input_is_a_parse_error(self, checkpoint, tmp_path,
                                              capsys):
         bad = tmp_path / "bad.cupt"
         bad.write_bytes(b"1\tb\xe9\tb\tX\t_\t_\t_\t_\t_\t_\t*\n")
         out = tmp_path / "p.cupt"
         assert run(["tag", str(checkpoint), str(bad), str(out)]) == EXIT_PARSE
-        assert f"parse error: {bad}: byte 3 (0xe9) is not UTF-8" \
-            in capsys.readouterr().err
+        assert capsys.readouterr().err \
+            == f"error: parse error: {bad}: byte 3 (0xe9) is not UTF-8\n"
         assert not out.exists()
 
     def test_bad_checkpoint(self, tmp_path):

@@ -1,6 +1,7 @@
 """Corpus module: CUPT parsing, tag codec, merging, keys, statistics."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,10 @@ class TestParsing:
         with pytest.raises(BadMweColumn, match=r"^<string>:2: "):
             parse_rows([("a", "a", field)])
 
-    @pytest.mark.parametrize("field, code", [("1:", "''"), ("1:A:B", "'A:B'")])
+    # "1:VID;1:" pins the check order: its bad category is reported before
+    # the repeated MWE id.
+    @pytest.mark.parametrize("field, code", [("1:", "''"), ("1:A:B", "'A:B'"),
+                                             ("1:VID;1:", "''")])
     def test_bad_category_code_rejected_at_its_line(self, field, code):
         with pytest.raises(BadMweColumn, match=rf"^<string>:2: invalid MWE "
                                                rf"category code: {code}$"):
@@ -82,8 +86,11 @@ class TestParsing:
             parse_rows([("a", "a", "1:VID"), ("b", "b", "1:IRV")])
 
     def test_non_contiguous_token_ids(self):
-        text = "1\ta\ta\tX\t_\t_\t_\t_\t_\t_\t*\n3\tb\tb\tX\t_\t_\t_\t_\t_\t_\t*\n"
-        with pytest.raises(NonContiguousIds):
+        # A check of the whole block names the block's first line.
+        text = ("\n# c\n1\ta\ta\tX\t_\t_\t_\t_\t_\t_\t*\n"
+                "3\tb\tb\tX\t_\t_\t_\t_\t_\t_\t*\n")
+        with pytest.raises(NonContiguousIds, match=r"^<string>:2: token ids "
+                                                   r"\[1, 3\] are not 1\.\.2$"):
             parse_cupt(text)
 
     def test_non_contiguous_mwe_ids(self):
@@ -221,6 +228,15 @@ class TestExtract:
 
     def test_no_annotations(self):
         assert extract_mwes(parse_rows([("a", "a", "*")])) == []
+
+    def test_rule_error_names_the_sentence(self):
+        # Built directly, so no parser checked the MWE column first.
+        s = make_sentence(["a", "b"])
+        s = replace(s, tokens=tuple(replace(t, mwe_tags=((1, None),))
+                                    for t in s.tokens))
+        with pytest.raises(DanglingMweId, match=r"^sentence 's': MWE 1 has no "
+                                                r"category-bearing component$"):
+            extract_mwes(s)
 
     def test_interleaved_mwes(self):
         s = parse_rows([("a", "a", "1:VID"), ("b", "b", "2:IRV"),

@@ -1,5 +1,7 @@
 """Evaluation: exact-match counting, F1 identities, unseen restriction."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,3 +313,20 @@ class TestPredictCorpus:
         assert evaluation.predict_corpus(model, corpus) == expected
         assert sum(rows) == sum(len(s) for s in corpus)
         assert max(rows) <= model_mod.CHUNK_TOKENS
+
+    def test_each_block_graph_is_freed_before_the_next(self, bilingual_corpus,
+                                                       monkeypatch):
+        model = self.trained_model(bilingual_corpus)
+        long = make_sentence(["x"] * (2 * model_mod.CHUNK_TOKENS + 5))
+        outputs, live = [], []
+        features = model_mod.FeatureExtractor.features
+
+        def tracked(extractor, batch):
+            live.append(sum(ref() is not None for ref in outputs))
+            out = features(extractor, batch)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(model_mod.FeatureExtractor, "features", tracked)
+        model.predict_tags(model.extractor.encode([long]))
+        assert live == [0, 0, 0]

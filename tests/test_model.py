@@ -329,6 +329,21 @@ def _swapped_reserved(payload):
     return payload
 
 
+def _bad_code_tagset(payload):
+    payload["tagset"] = ["O", "B-L:V", "I-L:V", "B-VID", "I-VID"]
+    return payload
+
+
+def _bad_prefix_tagset(payload):
+    payload["tagset"] = ["O", "B-IRV", "I-IRV", "X-LVC.full", "I-LVC.full"]
+    return payload
+
+
+def _unsorted_tagset(payload):
+    payload["tagset"] = ["O", "B-VID", "I-VID", "B-IRV", "I-IRV"]
+    return payload
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_param, "classifier.head_b is missing"),
     (_extra_param, "unexpected parameters"),
@@ -344,6 +359,9 @@ def _swapped_reserved(payload):
     (_duplicate_vocab, "vocab must be a list of distinct"),
     (_short_data, "do not match model shape"),
     (_swapped_reserved, "vocab must start with <pad>, <unk>"),
+    (_bad_code_tagset, "tagset: invalid MWE category code: 'L:V'"),
+    (_bad_prefix_tagset, "tagset must be 'O', then B-c, I-c"),
+    (_unsorted_tagset, "in sorted order"),
 ])
 def test_corrupted_checkpoint_rejected(tiny_corpus, tmp_path, corrupt, message):
     path = tmp_path / "model.json"
@@ -413,8 +431,9 @@ def test_save_writes_a_large_model_in_bounded_pieces(tmp_path, monkeypatch):
 
 
 class TestBatch:
-    def test_windows_match_padded_sentences(self, tiny_corpus):
-        model = MweTagger.build(small_config(window=2), tiny_corpus)
+    @pytest.mark.parametrize("window", [0, 1, 2])
+    def test_windows_match_padded_sentences(self, tiny_corpus, window):
+        model = MweTagger.build(small_config(window=window), tiny_corpus)
         sentences = [make_sentence(["ana"]), tiny_corpus.sentences[1],
                      make_sentence(["le", "x", "ana", "are"])]
         batch = model.extractor.encode(sentences)
@@ -422,8 +441,9 @@ class TestBatch:
         rows = []
         for s in sentences:
             ids = model.extractor.token_ids(s)
-            padded = np.concatenate([[PAD_ID] * 2, ids, [PAD_ID] * 2])
-            rows += [padded[i:i + 5] for i in range(len(ids))]
+            padded = np.concatenate([[PAD_ID] * window, ids, [PAD_ID] * window])
+            rows += [padded[i:i + 2 * window + 1] for i in range(len(ids))]
+        assert batch.windows.dtype == np.int64
         assert np.array_equal(batch.windows, rows)
 
     def test_select_and_pooling(self, tiny_corpus):
