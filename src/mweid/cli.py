@@ -26,8 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import corpus as corpus_mod
 from . import inhibition
-from .corpus import (CuptError, _write_atomic, merge_corpora, parse_cupt_file,
-                     serialize_corpus)
+from .corpus import CuptError, _write_atomic, parse_cupt_file, serialize_corpus
 from .evaluation import (AlignmentMismatch, TokenizationMismatch, evaluate,
                          format_table, predict_corpus)
 from .model import CheckpointError, ModelConfig, MweTagger
@@ -49,31 +48,30 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _parse_lang_spec(spec: str) -> tuple[str | None, str]:
-    """Split "LANG=path.cupt" into (language, path); bare paths get None."""
-    code, sep, path = spec.partition("=")
-    if sep and code.isalnum() and len(code) <= 8:
-        return code, path
-    return None, spec
-
-
-def _load_part(spec: str):
-    language, path = _parse_lang_spec(spec)
-    if not Path(path).is_file():
-        raise CliError(f"no such file: {path}", EXIT_CONFIG)
-    return parse_cupt_file(path, language=language), language
-
-
-def _load_merged(specs: list[str]):
-    parts = []
+def _inputs(specs: list[str], need_language: bool = False):
+    """Check corpus specs, "LANG=path.cupt" or a bare path, without reading
+    any file; return their (language, path) pairs, None for a bare path."""
+    inputs = []
     for spec in specs:
-        corpus, language = _load_part(spec)
-        if language is None:
+        language, sep, path = spec.partition("=")
+        if not (sep and language.isalnum() and len(language) <= 8):
+            language, path = None, spec
+        if not Path(path).is_file():
+            raise CliError(f"no such file: {path}", EXIT_CONFIG)
+        if need_language and language is None:
             raise CliError(
                 f"training/eval inputs need a language code: LANG={spec}",
                 EXIT_CONFIG)
-        parts.append((corpus, language))
-    return merge_corpora(parts)
+        inputs.append((language, path))
+    return inputs
+
+
+def _load(inputs) -> corpus_mod.Corpus:
+    """One corpus of the inputs' sentences in order, each parsed with its
+    input's language."""
+    return corpus_mod.Corpus(sentences=tuple(
+        sentence for language, path in inputs
+        for sentence in parse_cupt_file(path, language=language)))
 
 
 def _set_by_path(config: dict, dotted: str, raw: str) -> None:
@@ -209,8 +207,10 @@ def cmd_train(args) -> int:
         config_text = _json_text(config)
     except (TypeError, ValueError) as err:
         raise CliError(f"bad configuration: {err}", EXIT_CONFIG) from err
-    train_corpus = _load_merged(config["train"])
-    dev_corpus = _load_merged(config["dev"]) if config["dev"] else None
+    train_inputs = _inputs(config["train"], need_language=True)
+    dev_inputs = _inputs(config["dev"], need_language=True)
+    train_corpus = _load(train_inputs)
+    dev_corpus = _load(dev_inputs) if dev_inputs else None
 
     try:
         model = MweTagger.build(model_config, train_corpus)
@@ -246,11 +246,12 @@ def cmd_tag(args) -> int:
         raise CliError(f"no such checkpoint: {args.checkpoint}", EXIT_CONFIG)
     output = Path(args.output)
     _check_output_file(output, args.force)
+    inputs = _inputs([args.input])
     try:
         model = MweTagger.load(args.checkpoint)
     except CheckpointError as err:
         raise CliError(f"bad checkpoint: {err}", EXIT_CONFIG) from err
-    corpus, _ = _load_part(args.input)
+    corpus = _load(inputs)
     predicted = predict_corpus(model, corpus)
     _write_text(output, serialize_corpus(predicted))
     print(f"tagged {len(predicted)} sentences -> {output}")
@@ -260,16 +261,9 @@ def cmd_tag(args) -> int:
 def cmd_eval(args) -> int:
     if args.report:
         _check_output_file(Path(args.report), force=True)
-    gold, _ = _load_part(args.gold)
-    pred, _ = _load_part(args.pred)
-    train_parts = []
-    for spec in args.train:
-        corpus, _ = _load_part(spec)
-        train_parts.append(corpus)
-    train_corpus = corpus_mod.Corpus(
-        sentences=tuple(s for part in train_parts for s in part))
+    gold, pred, *train = _inputs([args.gold, args.pred, *args.train])
     try:
-        result = evaluate(gold, pred, train_corpus,
+        result = evaluate(_load([gold]), _load([pred]), _load(train),
                           category_sensitive=args.category_sensitive)
     except (AlignmentMismatch, TokenizationMismatch) as err:
         raise CliError(f"alignment error: {err}", EXIT_ALIGNMENT) from err
@@ -384,12 +378,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    parts = []
-    for spec in args.corpora:
-        corpus, language = _load_part(spec)
-        parts.append((corpus, language or "?"))
-    merged = merge_corpora(parts)
-    stats = corpus_mod.corpus_stats(merged)
+    stats = corpus_mod.corpus_stats(_load(_inputs(args.corpora)))
     print(f"{'language':<10}{'sentences':>10}{'tokens':>10}{'mwes':>8}  "
           f"per-category")
     rows = [("all", stats)] + sorted(stats.by_language.items())

@@ -401,29 +401,34 @@ def decode_tags(tags: list[str], lemmas=None) -> list[MweInstance]:
 
     "B-X" opens a new instance of category X. "I-X" attaches to the most
     recently opened X instance, skipping any "O" gap in between; an
-    orphan "I-X" with no open X instance starts one. Instances are
+    orphan "I-X" with no open X instance starts one. Any other tag, and
+    one whose X is no valid category code, is a gap. Instances are
     renumbered 1..m in order of their first token. ``lemmas`` (one per
     tag) supplies the lemma keys; without them keys are empty.
     """
-    spans: list[tuple[str, list[int]]] = []
+    spans: list[tuple[VmweCategory, list[int]]] = []
     open_span: dict[str, int] = {}
     for position, tag in enumerate(tags, start=1):
         prefix, cat = tag[:2], tag[2:]
-        if not cat or prefix not in ("B-", "I-"):
+        if prefix not in ("B-", "I-"):
             continue  # anything else, including "O", is a gap
         if prefix == "I-" and cat in open_span:
             spans[open_span[cat]][1].append(position)
-        else:
-            open_span[cat] = len(spans)
-            spans.append((cat, [position]))
+            continue
+        try:
+            category = VmweCategory(cat)
+        except BadMweColumn:
+            continue  # so is a tag whose category code is invalid
+        open_span[cat] = len(spans)
+        spans.append((category, [position]))
     instances = []
-    for number, (cat, positions) in enumerate(spans, start=1):
+    for number, (category, positions) in enumerate(spans, start=1):
         if lemmas is not None:
             key = make_lemma_key(lemmas[i - 1] for i in positions)
         else:
             key = ()
         instances.append(MweInstance(
-            mwe_id=number, category=VmweCategory(cat),
+            mwe_id=number, category=category,
             token_indices=tuple(positions), lemma_key=key))
     return instances
 

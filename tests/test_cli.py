@@ -24,7 +24,7 @@ def run(args):
 
 
 def _refuse_work(*args, **kwargs):
-    raise AssertionError("work started before the output path was checked")
+    raise AssertionError("work started before the paths were checked")
 
 
 def train_args(out, epochs=3, extra=()):
@@ -355,7 +355,8 @@ class TestTag:
     @pytest.mark.parametrize("first, message", [
         ("B-L:V", "tagset: invalid MWE category code: 'L:V'"),
         ("X-{}", "tagset must be 'O', then B-c, I-c for each category"),
-    ], ids=["bad-code", "bad-prefix"])
+        ("B-{}\tx", "tagset: invalid MWE category code: 'IRV\\tx'"),
+    ], ids=["bad-code", "bad-prefix", "tab-in-code"])
     def test_checkpoint_tagset_out_of_layout_exits_2(
             self, tmp_path, capsys, monkeypatch, first, message):
         # Before, a bad code failed with exit 3 after tagging the whole input,
@@ -474,6 +475,32 @@ class TestStats:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"parse error: {bad}: byte " in captured.err
+
+
+class TestInputsCheckedFirst:
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--train", RO, "--out", "{tmp}/o"],
+         f"training/eval inputs need a language code: LANG={RO}"),
+        (["train", "--train", f"RO={RO}", "--dev", "RO={missing}",
+          "--out", "{tmp}/o"], "no such file: {missing}"),
+        (["eval", RO, RO, "--train", f"RO={RO}", "--train", "{missing}"],
+         "no such file: {missing}"),
+        (["stats", f"RO={RO}", "{missing}"], "no such file: {missing}"),
+        (["tag", "{tmp}/model.json", "{missing}", "{tmp}/p.cupt"],
+         "no such file: {missing}"),
+    ], ids=["bare-train", "missing-dev", "eval-missing-train",
+            "stats-missing-second", "tag-missing-input"])
+    def test_usage_error_before_any_input_is_read(
+            self, tmp_path, capsys, monkeypatch, argv, message):
+        # Parsing and loading refuse, so each call must stop at its spec.
+        monkeypatch.setattr(cli, "parse_cupt_file", _refuse_work)
+        monkeypatch.setattr(cli.MweTagger, "load", _refuse_work)
+        (tmp_path / "model.json").write_text("{}")
+        names = {"tmp": tmp_path, "missing": tmp_path / "missing.cupt"}
+        assert run([arg.format(**names) for arg in argv]) == EXIT_CONFIG
+        assert capsys.readouterr().err \
+            == f"error: {message.format(**names)}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestOverfitReproduction:

@@ -327,7 +327,7 @@ class TestDecode:
         assert [str(m.category) for m in mwes] == ["IRV", "VID"]
 
     def test_unknown_tags_are_gaps(self):
-        assert decode_tags(["junk", "O", ""]) == []
+        assert decode_tags(["junk", "O", "", "B-", "B-a:b", "I-x;y"]) == []
 
 
 class TestRewrite:

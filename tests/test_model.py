@@ -339,6 +339,11 @@ def _bad_prefix_tagset(payload):
     return payload
 
 
+def _tab_code_tagset(payload):
+    payload["tagset"] = ["O", "B-IRV\tx", "I-IRV\tx", "B-VID", "I-VID"]
+    return payload
+
+
 def _unsorted_tagset(payload):
     payload["tagset"] = ["O", "B-VID", "I-VID", "B-IRV", "I-IRV"]
     return payload
@@ -361,6 +366,7 @@ def _unsorted_tagset(payload):
     (_swapped_reserved, "vocab must start with <pad>, <unk>"),
     (_bad_code_tagset, "tagset: invalid MWE category code: 'L:V'"),
     (_bad_prefix_tagset, "tagset must be 'O', then B-c, I-c"),
+    (_tab_code_tagset, r"tagset: invalid MWE category code: 'IRV\\tx'"),
     (_unsorted_tagset, "in sorted order"),
 ])
 def test_corrupted_checkpoint_rejected(tiny_corpus, tmp_path, corrupt, message):
