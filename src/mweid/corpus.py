@@ -54,13 +54,13 @@ class VmweCategory:
     """A verbal MWE category code such as VID or LVC.full.
 
     Unknown codes are preserved verbatim so corpora from any language
-    round-trip unchanged.
+    round-trip unchanged; a valid code fits in one MWE field.
     """
 
     code: str
 
     def __post_init__(self):
-        if not self.code or ":" in self.code or ";" in self.code:
+        if not self.code or any(char in self.code for char in ":;\t\r\n"):
             raise BadMweColumn(f"invalid MWE category code: {self.code!r}")
 
     def __str__(self) -> str:
@@ -71,16 +71,16 @@ class VmweCategory:
 class Token:
     """One syntactic word of a sentence (integer-id CoNLL-U row).
 
-    ``misc_columns`` preserves the XPOS..MISC columns verbatim;
-    ``mwe_raw`` preserves the PARSEME:MWE field exactly as read so that
-    serialization is byte-faithful even for unannotated ("_") input.
+    ``columns`` is the text of the UPOS..MISC columns (4-10) exactly as
+    read, inner tabs included, which mweid never interprets; ``mwe_raw``
+    preserves the PARSEME:MWE field exactly as read so that serialization
+    is byte-faithful even for unannotated ("_") input.
     """
 
     id: int
     form: str
     lemma: str
-    upos: str
-    misc_columns: tuple[str, ...]
+    columns: str
     mwe_tags: tuple[tuple[int, VmweCategory | None], ...]
     mwe_raw: str = "*"
 
@@ -244,11 +244,12 @@ def _parse_block(rows, language, source) -> Sentence:
             if line.startswith("#"):
                 comments.append(line)
                 continue
-            cols = line.split("\t")
-            if len(cols) != N_COLUMNS:
+            n_columns = line.count("\t") + 1
+            if n_columns != N_COLUMNS:
                 raise MalformedLine(f"expected {N_COLUMNS} tab-separated "
-                                    f"columns, got {len(cols)}")
-            raw_id = cols[0]
+                                    f"columns, got {n_columns}")
+            head, _, mwe = line.rpartition("\t")
+            raw_id, form, lemma, columns = head.split("\t", 3)
             if "-" in raw_id or "." in raw_id:
                 # Range or empty-node row: no MWE annotation, kept verbatim.
                 extra_rows.append((len(tokens), line))
@@ -258,10 +259,9 @@ def _parse_block(rows, language, source) -> Sentence:
             except ValueError:
                 raise MalformedLine(
                     f"token id {raw_id!r} is not an integer") from None
-            tokens.append(Token(
-                id=tok_id, form=cols[1], lemma=cols[2], upos=cols[3],
-                misc_columns=tuple(cols[4:10]),
-                mwe_tags=_parse_mwe_field(cols[10]), mwe_raw=cols[10]))
+            tokens.append(Token(id=tok_id, form=form, lemma=lemma,
+                                columns=columns, mwe_tags=_parse_mwe_field(mwe),
+                                mwe_raw=mwe))
         line_no = rows[0][0]
         if not tokens:
             raise MalformedLine("sentence block contains no token lines")
@@ -286,10 +286,12 @@ def parse_cupt(text: str, language: str | None = None,
 
     Sentence blocks are separated by blank lines; '#' lines are kept
     verbatim; multiword-token ranges and empty nodes are preserved but
-    excluded from the token sequence. CRLF input is accepted.
+    excluded from the token sequence. LF, CRLF and a lone CR each end a
+    line, as in a file opened in text mode.
     """
-    numbered = enumerate((line.rstrip("\r") for line in text.split("\n")),
-                         start=1)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    numbered = enumerate(text.split("\n"), start=1)
     blocks = groupby(numbered, key=lambda pair: bool(pair[1].strip()))
     sentences = tuple(_parse_block(list(rows), language, source)
                       for filled, rows in blocks if filled)
@@ -306,8 +308,6 @@ def parse_cupt_file(path, language: str | None = None) -> Corpus:
     except UnicodeDecodeError as err:
         raise CuptError(f"{path}: byte {err.start} (0x{data[err.start]:02x}) "
                         f"is not UTF-8") from None
-    if "\r" in text:  # line ends as a file opened in text mode reads them
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_cupt(text, language=language, source=str(path))
 
 
@@ -336,8 +336,7 @@ def serialize_sentence(sentence: Sentence) -> str:
         while extras and extras[0][0] <= position:
             lines.append(extras.pop(0)[1])
         lines.append("\t".join((str(token.id), token.form, token.lemma,
-                                token.upos, *token.misc_columns,
-                                token.mwe_raw)))
+                                token.columns, token.mwe_raw)))
     for _, raw in extras:
         lines.append(raw)
     return "\n".join(lines)

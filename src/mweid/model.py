@@ -492,14 +492,11 @@ def _inventory(payload: dict, key: str) -> list[str]:
 
 def _check_tagset(tagset: list[str]) -> None:
     """Raise CheckpointError unless ``tagset`` is the ``_tag_layout`` of valid
-    category codes, as ``build_tagset`` makes it. A code must also fit in one
-    CUPT column, so it holds no tab, CR or LF."""
+    category codes, as ``build_tagset`` makes it."""
     categories = [tag[2:] for tag in tagset[1::2]]
     try:
         for code in categories:
             VmweCategory(code)
-            if any(char in code for char in "\t\r\n"):
-                raise BadMweColumn(f"invalid MWE category code: {code!r}")
     except BadMweColumn as err:
         raise CheckpointError(f"tagset: {err}") from err
     if tagset != _tag_layout(categories):

@@ -137,8 +137,9 @@ def gold_tag_ids(model: MweTagger, sentence: Sentence) -> np.ndarray:
 
 def _clip_gradients(params, max_norm: float) -> None:
     """Scale the live rows of every gradient so that their joint norm, a
-    sum over the whole arrays, is at most ``max_norm``."""
-    total = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))
+    sum over those rows only, is at most ``max_norm``."""
+    total = math.sqrt(sum(float(np.sum(np.square(p.grad[p.rows])))
+                          for p in params))
     if total > max_norm:
         factor = max_norm / total
         for param in params:

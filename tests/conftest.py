@@ -14,7 +14,7 @@ CATEGORY_POOL = ("VID", "LVC.full", "LVC.cause", "IRV")
 
 
 def make_sentence(forms, instances=(), sent_id="s", language=None,
-                  lemmas=None, upos="X"):
+                  lemmas=None):
     """Build a Sentence directly from forms and (category, positions) pairs.
 
     Instance ids are assigned 1..m in the given order; the first listed
@@ -36,7 +36,7 @@ def make_sentence(forms, instances=(), sent_id="s", language=None,
         else:
             raw = "*"
         tokens.append(Token(id=index, form=form, lemma=lemmas[index - 1],
-                            upos=upos, misc_columns=("_",) * 6,
+                            columns="X\t_\t_\t_\t_\t_\t_",
                             mwe_tags=memberships, mwe_raw=raw))
     return Sentence(tokens=tuple(tokens), sent_id=sent_id, language=language)
 

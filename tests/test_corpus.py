@@ -1,5 +1,6 @@
 """Corpus module: CUPT parsing, tag codec, merging, keys, statistics."""
 
+import io
 import re
 from dataclasses import replace
 
@@ -19,6 +20,14 @@ from mweid.corpus import (N_COLUMNS, BadMweColumn, Corpus, CuptError,
                           with_instances)
 from conftest import (corpus_of, cupt_text, make_sentence, parse_rows,
                       random_sentence)
+
+
+def _outcome(parse, *args, **kwargs):
+    """What ``parse`` gives: the corpus, or the error's type and message."""
+    try:
+        return parse(*args, **kwargs)
+    except CuptError as err:
+        return type(err), str(err)
 
 
 class TestParsing:
@@ -116,11 +125,20 @@ class TestParsing:
         assert len(corpus.sentences[0]) == 1
 
     def test_file_line_ends_read_as_text_mode(self, tmp_path):
-        text = cupt_text([("a", "a", "*")]) + cupt_text([("b", "b", "*")])
         path = tmp_path / "f.cupt"
-        for ending in ("\n", "\r\n", "\r"):
-            path.write_bytes(text.replace("\n", ending).encode("utf-8"))
-            assert parse_cupt_file(path) == parse_cupt(text, source=str(path))
+        two = cupt_text([("a", "a", "*")]) + cupt_text([("b", "b", "*")])
+        # A lone CR inside the MWE field ends the line in both parsers, so
+        # "V" is a row of one column.
+        cr_in_field = cupt_text([("a", "a", "1:IR\rV")])
+        for text, want in (
+                (two, parse_cupt(two, source=str(path))),
+                (cr_in_field, (MalformedLine, f"{path}:3: expected 11 "
+                                              f"tab-separated columns, got 1"))):
+            for ending in ("\n", "\r\n", "\r"):
+                variant = text.replace("\n", ending)
+                path.write_bytes(variant.encode("utf-8"))
+                assert _outcome(parse_cupt_file, path) == want
+                assert _outcome(parse_cupt, variant, source=str(path)) == want
 
     def test_non_utf8_file_names_path_and_offset(self, tmp_path):
         path = tmp_path / "latin1.cupt"
@@ -147,12 +165,13 @@ class TestParsing:
 
 # CUPT-shaped text: rows of 1-12 tab-separated fields with ids and MWE
 # fields drawn from valid and invalid values, '#' lines, blank and
-# whitespace-only lines, and any line may end in a carriage return. A
+# whitespace-only lines, and any line may end in a carriage return. An
+# MWE field may hold a lone carriage return, which ends its line. A
 # row's id is often the next one its sentence expects, so that many
 # texts parse.
 _FUZZ_IDS = ("1", "2", "3", "1-2", "2.1", "x", "", "0")
 _FUZZ_MWE_FIELDS = ("*", "_", "1", "1:VID", "1;2", ":", ";", "0", " 1:VID ",
-                    "1:", "1:A:B")
+                    "1:", "1:A:B", "1:IR\rV")
 
 
 def _often(value, strategy):
@@ -194,7 +213,8 @@ class TestParserFuzz:
         except CuptError as err:
             location = re.match(r"<string>:(\d+): ", str(err))
             assert location, f"no source:line in {str(err)!r}"
-            assert 1 <= int(location[1]) <= len(text.split("\n"))
+            lines = io.StringIO(text, newline=None).read().split("\n")
+            assert 1 <= int(location[1]) <= len(lines)
             return
         once = serialize_corpus(corpus)
         again = parse_cupt(once)
@@ -211,7 +231,8 @@ class TestCategory:
         category = VmweCategory("WEIRD.cat")
         assert str(category) == "WEIRD.cat"
 
-    @pytest.mark.parametrize("code", ["", "A:B", "A;B"])
+    @pytest.mark.parametrize("code", ["", "A:B", "A;B", "A\tB", "A\rB",
+                                      "A\nB"])
     def test_invalid_codes_rejected(self, code):
         with pytest.raises(BadMweColumn):
             VmweCategory(code)
@@ -343,6 +364,7 @@ class TestRewrite:
         out = with_instances(s, decode_tags(["B-VID", "I-VID", "O", "O"]))
         assert [new is old for new, old in zip(out.tokens, s.tokens)] \
             == [True, False, False, True]
+        assert [t.columns for t in out.tokens] == ["X\t_\t_\t_\t_\t_\t_"] * 4
         assert [t.mwe_raw for t in out.tokens] == ["1:VID", "1", "*", "*"]
         assert out.tokens[2].mwe_tags == ()
 

@@ -442,6 +442,30 @@ def test_row_sparse_steps_match_dense_reference(window, clip_grad, monkeypatch):
         assert not param.grad.any(), param.name
 
 
+def test_clip_norm_over_written_rows_matches_dense_norm():
+    # On a 4,000-row table the squares of the written rows alone are summed
+    # in another order than the dense array's, so the two norms may differ
+    # in the last bits; the clipped gradients must agree with clipping by
+    # the dense norm within 1e-12 relative.
+    orders_differ = 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        table = ad.Parameter(np.zeros((4000, 16)), "table")
+        table.rows = np.unique(rng.integers(0, 4000, 600))
+        table.grad[table.rows] = rng.normal(size=(len(table.rows), 16))
+        dense = ad.Parameter(np.zeros((8, 4)), "dense")
+        dense.grad += rng.normal(size=(8, 4))
+        dense.rows = ad.ALL_ROWS
+        orders_differ += bool(np.sum(np.square(table.grad[table.rows]))
+                              != np.sum(np.square(table.grad)))
+        before = [table.grad.copy(), dense.grad.copy()]
+        norm = math.sqrt(sum(float(np.sum(grad * grad)) for grad in before))
+        trainer._clip_gradients([table, dense], norm / 4)
+        for param, grad in zip((table, dense), before):
+            np.testing.assert_allclose(param.grad, grad / 4, rtol=1e-12, atol=0)
+    assert orders_differ
+
+
 def test_steps_write_every_parameter_in_place(monkeypatch):
     given = {}
 
