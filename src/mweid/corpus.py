@@ -10,6 +10,7 @@ training.
 
 from __future__ import annotations
 
+import gc
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -287,14 +288,21 @@ def parse_cupt(text: str, language: str | None = None,
     Sentence blocks are separated by blank lines; '#' lines are kept
     verbatim; multiword-token ranges and empty nodes are preserved but
     excluded from the token sequence. LF, CRLF and a lone CR each end a
-    line, as in a file opened in text mode.
+    line, as in a file opened in text mode. The cyclic garbage collector
+    pauses while sentences are built, so none of its work falls after.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     numbered = enumerate(text.split("\n"), start=1)
     blocks = groupby(numbered, key=lambda pair: bool(pair[1].strip()))
-    sentences = tuple(_parse_block(list(rows), language, source)
-                      for filled, rows in blocks if filled)
+    enabled = gc.isenabled()
+    gc.disable()  # a parsed corpus is acyclic: reference counting frees it
+    try:
+        sentences = tuple(_parse_block(list(rows), language, source)
+                          for filled, rows in blocks if filled)
+    finally:
+        if enabled:
+            gc.enable()
     return Corpus(sentences=sentences)
 
 
@@ -337,8 +345,7 @@ def serialize_sentence(sentence: Sentence) -> str:
             lines.append(extras.pop(0)[1])
         lines.append("\t".join((str(token.id), token.form, token.lemma,
                                 token.columns, token.mwe_raw)))
-    for _, raw in extras:
-        lines.append(raw)
+    lines.extend(raw for _, raw in extras)
     return "\n".join(lines)
 
 
@@ -422,10 +429,8 @@ def decode_tags(tags: list[str], lemmas=None) -> list[MweInstance]:
         spans.append((category, [position]))
     instances = []
     for number, (category, positions) in enumerate(spans, start=1):
-        if lemmas is not None:
-            key = make_lemma_key(lemmas[i - 1] for i in positions)
-        else:
-            key = ()
+        key = (make_lemma_key(lemmas[i - 1] for i in positions)
+               if lemmas is not None else ())
         instances.append(MweInstance(
             mwe_id=number, category=category,
             token_indices=tuple(positions), lemma_key=key))
@@ -479,11 +484,8 @@ def seen_lemma_keys(train: Corpus) -> set[tuple[str, ...]]:
     A test MWE is *unseen* exactly when its lemma key is absent from
     this set (category plays no role).
     """
-    keys: set[tuple[str, ...]] = set()
-    for sentence in train:
-        for instance in extract_mwes(sentence):
-            keys.add(instance.lemma_key)
-    return keys
+    return {instance.lemma_key
+            for sentence in train for instance in extract_mwes(sentence)}
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:

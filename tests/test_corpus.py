@@ -1,5 +1,6 @@
 """Corpus module: CUPT parsing, tag codec, merging, keys, statistics."""
 
+import gc
 import io
 import re
 from dataclasses import replace
@@ -139,6 +140,27 @@ class TestParsing:
                 path.write_bytes(variant.encode("utf-8"))
                 assert _outcome(parse_cupt_file, path) == want
                 assert _outcome(parse_cupt, variant, source=str(path)) == want
+
+    def test_collector_paused_only_while_parsing(self, monkeypatch):
+        parse_block, during = mweid.corpus._parse_block, []
+
+        def watched(*args):
+            during.append(gc.isenabled())
+            return parse_block(*args)
+
+        monkeypatch.setattr(mweid.corpus, "_parse_block", watched)
+        enabled = gc.isenabled()
+        try:
+            for state in (True, False):
+                (gc.enable if state else gc.disable)()
+                for text in (cupt_text([("a", "a", "*")]) * 3,
+                             "1\tonly\tthree\n"):
+                    during.clear()
+                    _outcome(parse_cupt, text)
+                    assert during and not any(during)
+                    assert gc.isenabled() is state
+        finally:
+            (gc.enable if enabled else gc.disable)()
 
     def test_non_utf8_file_names_path_and_offset(self, tmp_path):
         path = tmp_path / "latin1.cupt"
