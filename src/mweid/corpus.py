@@ -14,7 +14,6 @@ import gc
 import os
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 from pathlib import Path
 
 CUPT_COLUMNS = ("ID", "FORM", "LEMMA", "UPOS", "XPOS", "FEATS",
@@ -68,7 +67,7 @@ class VmweCategory:
         return self.code
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Token:
     """One syntactic word of a sentence (integer-id CoNLL-U row).
 
@@ -84,6 +83,22 @@ class Token:
     columns: str
     mwe_tags: tuple[tuple[int, VmweCategory | None], ...]
     mwe_raw: str = "*"
+
+    def __init__(self, id, form, lemma, columns, mwe_tags, mwe_raw="*"):
+        # Each slot is set once through its descriptor: frozen, yet without
+        # the generated __init__'s object.__setattr__ call per field.
+        _set_id(self, id)
+        _set_form(self, form)
+        _set_lemma(self, lemma)
+        _set_columns(self, columns)
+        _set_mwe_tags(self, mwe_tags)
+        _set_mwe_raw(self, mwe_raw)
+
+
+_set_id, _set_form, _set_lemma = (Token.id.__set__, Token.form.__set__,
+                                  Token.lemma.__set__)
+_set_columns, _set_mwe_tags, _set_mwe_raw = (
+    Token.columns.__set__, Token.mwe_tags.__set__, Token.mwe_raw.__set__)
 
 
 @dataclass(frozen=True)
@@ -112,11 +127,12 @@ class MweInstance:
 class Sentence:
     """A parsed sentence: tokens plus everything needed to re-serialize it.
 
-    ``comments`` are the verbatim '#' lines preceding the token block.
-    ``extra_rows`` holds multiword-token ranges (ids like "3-4") and
-    empty nodes (ids like "5.1") as (position, raw line) pairs, where
-    position counts how many real tokens precede the row; these rows
-    carry no MWE annotation and are excluded from tagging.
+    ``comments`` are the verbatim '#' lines preceding the first row.
+    ``extra_rows`` holds multiword-token ranges (ids like "3-4"), empty
+    nodes (ids like "5.1") and '#' lines that follow a row, as
+    (position, raw line) pairs, where position counts how many real
+    tokens precede the row; these rows carry no MWE annotation and are
+    excluded from tagging.
     """
 
     tokens: tuple[Token, ...]
@@ -234,16 +250,25 @@ def _check_mwe_rules(tokens):
     return members, categories
 
 
-def _parse_block(rows, language, source) -> Sentence:
-    """Build one sentence from its block's non-blank (line number, line) pairs;
-    a CuptError names its row, or the first line for a whole-block check."""
+def _parse_block(lines, first, last, language, source, memo) -> Sentence:
+    """Build one sentence from the non-blank ``lines[first:last]``; a
+    CuptError names its row, or the first line for a whole-block check.
+
+    ``memo`` maps each MWE field already read in this parse to its
+    memberships and the field itself, which tokens then share.
+    """
     comments: list[str] = []
     tokens: list[Token] = []
     extra_rows: list[tuple[int, str]] = []
+    block_check = False
     try:
-        for line_no, line in rows:
+        for line in lines[first:last]:
             if line.startswith("#"):
-                comments.append(line)
+                if tokens or extra_rows:
+                    # After a row: kept in place, never read for sent_id.
+                    extra_rows.append((len(tokens), line))
+                else:
+                    comments.append(line)
                 continue
             n_columns = line.count("\t") + 1
             if n_columns != N_COLUMNS:
@@ -260,10 +285,11 @@ def _parse_block(rows, language, source) -> Sentence:
             except ValueError:
                 raise MalformedLine(
                     f"token id {raw_id!r} is not an integer") from None
-            tokens.append(Token(id=tok_id, form=form, lemma=lemma,
-                                columns=columns, mwe_tags=_parse_mwe_field(mwe),
-                                mwe_raw=mwe))
-        line_no = rows[0][0]
+            parsed = memo.get(mwe)
+            if parsed is None:
+                parsed = memo[mwe] = (_parse_mwe_field(mwe), mwe)
+            tokens.append(Token(tok_id, form, lemma, columns, *parsed))
+        block_check = True
         if not tokens:
             raise MalformedLine("sentence block contains no token lines")
         ids = [t.id for t in tokens]
@@ -271,6 +297,9 @@ def _parse_block(rows, language, source) -> Sentence:
             raise NonContiguousIds(f"token ids {ids} are not 1..{len(ids)}")
         _check_mwe_rules(tokens)
     except CuptError as err:
+        # Each row read before the failing one went to exactly one list.
+        line_no = first + 1 + (0 if block_check else
+                               len(comments) + len(tokens) + len(extra_rows))
         raise type(err)(f"{source}:{line_no}: {err}") from None
     sent_id = ""
     for line in comments:
@@ -293,17 +322,26 @@ def parse_cupt(text: str, language: str | None = None,
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    numbered = enumerate(text.split("\n"), start=1)
-    blocks = groupby(numbered, key=lambda pair: bool(pair[1].strip()))
+    lines = text.split("\n")
+    lines.append("")  # a blank line ends the last block
+    sentences: list[Sentence] = []
+    memo: dict[str, tuple] = {}
+    first = None
     enabled = gc.isenabled()
     gc.disable()  # a parsed corpus is acyclic: reference counting frees it
     try:
-        sentences = tuple(_parse_block(list(rows), language, source)
-                          for filled, rows in blocks if filled)
+        for index, line in enumerate(lines):
+            if line and not line.isspace():
+                if first is None:
+                    first = index
+            elif first is not None:
+                sentences.append(_parse_block(lines, first, index, language,
+                                              source, memo))
+                first = None
     finally:
         if enabled:
             gc.enable()
-    return Corpus(sentences=sentences)
+    return Corpus(sentences=tuple(sentences))
 
 
 def parse_cupt_file(path, language: str | None = None) -> Corpus:
@@ -441,7 +479,9 @@ def with_instances(sentence: Sentence, instances: list[MweInstance]) -> Sentence
     """Rewrite a sentence's MWE column from the given instances.
 
     All other columns, comments and extra rows are untouched, so the
-    serialized output differs from the input only in the last column.
+    serialized output differs from the input only in the last column. A
+    token whose MWE field is already what the instances make of it is
+    kept as it is.
     """
     per_token: dict[int, list[tuple[int, VmweCategory | None]]] = {}
     for inst in instances:
@@ -451,11 +491,13 @@ def with_instances(sentence: Sentence, instances: list[MweInstance]) -> Sentence
                 (inst.mwe_id, inst.category if position == first else None))
     tokens = []
     for token in sentence.tokens:
-        memberships = tuple(sorted(per_token.get(token.id, ()),
-                                   key=lambda m: m[0]))
-        raw = format_mwe_field(memberships)
-        if memberships != token.mwe_tags or raw != token.mwe_raw:
-            token = replace(token, mwe_tags=memberships, mwe_raw=raw)
+        found = per_token.get(token.id)
+        if found or token.mwe_tags or token.mwe_raw != "*":
+            memberships = tuple(sorted(found or (), key=lambda m: m[0]))
+            raw = format_mwe_field(memberships)
+            if memberships != token.mwe_tags or raw != token.mwe_raw:
+                token = Token(token.id, token.form, token.lemma,
+                              token.columns, memberships, raw)
         tokens.append(token)
     return replace(sentence, tokens=tuple(tokens))
 

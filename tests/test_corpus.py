@@ -3,7 +3,7 @@
 import gc
 import io
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import mweid
 from mweid.corpus import (N_COLUMNS, BadMweColumn, Corpus, CuptError,
                           DanglingMweId, DuplicateLanguageCode, MalformedLine,
-                          NonContiguousIds, OverlapUnrepresentable,
+                          NonContiguousIds, OverlapUnrepresentable, Token,
                           VmweCategory, corpus_stats, decode_tags,
                           encode_tags, extract_mwes, format_mwe_field,
                           make_lemma_key, merge_corpora, parse_cupt,
@@ -29,6 +29,45 @@ def _outcome(parse, *args, **kwargs):
         return parse(*args, **kwargs)
     except CuptError as err:
         return type(err), str(err)
+
+
+class TestToken:
+    def test_slotted_and_frozen(self):
+        token = make_sentence(["a"]).tokens[0]
+        assert not hasattr(token, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            token.form = "b"
+
+    def test_positional_replace_eq_and_hash_agree_with_keywords(self):
+        tags = ((1, VmweCategory("VID")),)
+        keyword = Token(id=1, form="a", lemma="a", columns="X", mwe_tags=tags,
+                        mwe_raw="1:VID")
+        positional = Token(1, "a", "a", "X", tags, "1:VID")
+        assert positional == keyword and hash(positional) == hash(keyword)
+        assert replace(keyword, form="b") == Token(1, "b", "a", "X", tags,
+                                                   "1:VID")
+        assert replace(keyword, form="b") != keyword
+        assert replace(keyword, mwe_tags=(), mwe_raw="*") \
+            == Token(id=1, form="a", lemma="a", columns="X", mwe_tags=())
+        parsed = parse_rows([("a", "a", "1:VID")]).tokens[0]
+        expected = replace(keyword, columns="X\t_\t_\t_\t_\t_\t_")
+        assert parsed == expected and hash(parsed) == hash(expected)
+
+    def test_tokens_of_one_parse_share_each_mwe_field(self):
+        text = (cupt_text([("a", "a", "*"), ("b", "b", "1:VID")])
+                + cupt_text([("c", "c", "1:VID"), ("d", "d", "1"),
+                             ("e", "e", "_")])
+                + cupt_text([("f", "f", "*"), ("g", "g", "_"),
+                             ("h", "h", "1:VID"), ("i", "i", "1")]))
+        by_field = {}
+        for sentence in parse_cupt(text):
+            for token in sentence.tokens:
+                by_field.setdefault(token.mwe_raw, []).append(token)
+        assert {field: len(group) for field, group in by_field.items()} \
+            == {"*": 2, "1:VID": 3, "1": 2, "_": 2}
+        for first, *others in by_field.values():
+            assert all(token.mwe_tags is first.mwe_tags
+                       and token.mwe_raw is first.mwe_raw for token in others)
 
 
 class TestParsing:
@@ -177,6 +216,17 @@ class TestParsing:
     def test_comments_and_metadata(self):
         s = parse_rows([("a", "a", "*")])
         assert s.sent_id == "s1"
+
+    def test_hash_line_after_a_row_keeps_its_place(self):
+        row = "\t".join(["{}", "a", "a", "X"] + ["_"] * 6 + ["*"])
+        text = "\n".join(["# sent_id = a", row.format(1), "# sent_id = mid",
+                          row.format("1-2"), "# after range", row.format(2),
+                          "#"]) + "\n\n"
+        (sentence,) = parse_cupt(text).sentences
+        assert sentence.sent_id == "a"
+        assert sentence.comments == ("# sent_id = a",)
+        assert [position for position, _ in sentence.extra_rows] == [1, 1, 1, 2]
+        assert serialize_corpus(parse_cupt(text)).encode() == text.encode()
 
     def test_fixture_roundtrip_byte_exact(self):
         for name in ("synthetic_ro.cupt", "synthetic_fr.cupt"):
@@ -373,6 +423,24 @@ class TestDecode:
         assert decode_tags(["junk", "O", "", "B-", "B-a:b", "I-x;y"]) == []
 
 
+def _with_instances_reference(sentence, instances):
+    """``with_instances`` as the rule states it: every token's MWE field
+    rebuilt from the instances and written by ``format_mwe_field``."""
+    per_token = {}
+    for inst in instances:
+        for position in inst.token_indices:
+            per_token.setdefault(position, []).append(
+                (inst.mwe_id,
+                 inst.category if position == inst.token_indices[0] else None))
+    tokens = []
+    for token in sentence.tokens:
+        memberships = tuple(sorted(per_token.get(token.id, ()),
+                                   key=lambda m: m[0]))
+        tokens.append(replace(token, mwe_tags=memberships,
+                              mwe_raw=format_mwe_field(memberships)))
+    return replace(sentence, tokens=tuple(tokens))
+
+
 class TestRewrite:
     def test_with_instances_canonical_column(self):
         s = make_sentence(["a", "b", "c"], [])
@@ -389,6 +457,20 @@ class TestRewrite:
         assert [t.columns for t in out.tokens] == ["X\t_\t_\t_\t_\t_\t_"] * 4
         assert [t.mwe_raw for t in out.tokens] == ["1:VID", "1", "*", "*"]
         assert out.tokens[2].mwe_tags == ()
+
+    def test_with_instances_matches_rebuilding_every_field(self):
+        rng = np.random.default_rng(5)
+        tags = ("O", "O", "O", "B-VID", "I-VID", "B-IRV", "I-IRV")
+        for index in range(300):
+            s = random_sentence(rng, sent_id=f"w{index}")
+            s = replace(s, tokens=tuple(
+                replace(t, mwe_raw="_") if not t.mwe_tags and rng.random() < 0.3
+                else t for t in s.tokens))
+            drawn = [tags[i] for i in rng.integers(len(tags), size=len(s))]
+            instances = extract_mwes(s) if index % 5 == 0 \
+                else decode_tags(drawn, lemmas=s.lemmas())
+            assert with_instances(s, instances) \
+                == _with_instances_reference(s, instances), f"sentence {index}"
 
     def test_format_mwe_field_sorted(self):
         assert format_mwe_field([(2, None), (1, VmweCategory("VID"))]) == "1:VID;2"
