@@ -285,6 +285,8 @@ def _parse_block(lines, first, last, language, source, memo) -> Sentence:
             except ValueError:
                 raise MalformedLine(
                     f"token id {raw_id!r} is not an integer") from None
+            if str(tok_id) != raw_id:
+                raise MalformedLine(f"token id {raw_id!r} is not written as {tok_id}")
             parsed = memo.get(mwe)
             if parsed is None:
                 parsed = memo[mwe] = (_parse_mwe_field(mwe), mwe)

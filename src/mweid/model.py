@@ -76,8 +76,9 @@ def check_fields(config) -> None:
             raise ValueError(f"{field.name} must be finite, got {value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """Model settings, checked when made; ``dataclasses.replace`` checks again."""
     embedding_dim: int = 16
     window: int = 1
     hidden_dim: int = 32
@@ -101,6 +102,8 @@ class ModelConfig:
             raise ValueError("lam must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+    __post_init__ = validate
 
 
 def build_vocab(corpus: Corpus) -> dict[str, int]:
@@ -239,17 +242,16 @@ class LanguageDiscriminator:
     """Gradient reversal, one relu layer, and a linear head over languages."""
 
     def __init__(self, languages: list[str], w1: Parameter, b1: Parameter,
-                 w2: Parameter, b2: Parameter, lam: float):
+                 w2: Parameter, b2: Parameter):
         self.languages = languages
         self.lang_index = {code: i for i, code in enumerate(languages)}
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
-        self.lam = lam
 
     def parameters(self) -> list[Parameter]:
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def logits(self, pooled: Tensor, lam: float | None = None) -> Tensor:
-        reversed_ = ad.grad_reverse(pooled, self.lam if lam is None else lam)
+    def logits(self, pooled: Tensor, lam: float) -> Tensor:
+        reversed_ = ad.grad_reverse(pooled, lam)
         hidden = ad.relu(ad.add(ad.matmul(reversed_, self.w1), self.b1))
         return ad.add(ad.matmul(hidden, self.w2), self.b2)
 
@@ -276,7 +278,6 @@ class MweTagger:
 
     @classmethod
     def build(cls, config: ModelConfig, corpus: Corpus) -> "MweTagger":
-        config.validate()
         rng = np.random.default_rng(config.seed)
 
         def drawn(name, shape, fill=None):
@@ -317,7 +318,7 @@ class MweTagger:
             discriminator = LanguageDiscriminator(
                 languages, param("discriminator.w1", (h, d)),
                 param("discriminator.b1", (d,)), param("discriminator.w2", (d, n)),
-                param("discriminator.b2", (n,)), config.lam)
+                param("discriminator.b2", (n,)))
         return cls(config, extractor, classifier, discriminator, tagset)
 
     def parameters(self) -> list[Parameter]:
@@ -335,8 +336,8 @@ class MweTagger:
 
         Takes one sentence or a Batch of them: the batch's n token rows
         pass through each layer together, and mean pooling gives one
-        language-logit row per sentence. The reversal coefficient only
-        shapes gradients; forward values are identical for every lam.
+        language-logit row per sentence. The reversal coefficient, by
+        default ``config.lam``, shapes gradients only, not forward values.
         """
         batch = sentence if isinstance(sentence, Batch) \
             else self.extractor.encode([sentence])
@@ -345,7 +346,8 @@ class MweTagger:
         lang_logits = None
         if self.discriminator is not None:
             pooled = ad.matmul(ad.tensor(batch.pooling()), features)
-            lang_logits = self.discriminator.logits(pooled, lam)
+            lang_logits = self.discriminator.logits(
+                pooled, self.config.lam if lam is None else lam)
         return tag_logits, lang_logits
 
     def predict_tags(self, sentence: Sentence | Batch) -> list[str]:
@@ -436,7 +438,6 @@ class MweTagger:
                 f"unsupported checkpoint version {payload.get('version')}")
         try:
             config = ModelConfig(**payload.get("config"))
-            config.validate()
         except (TypeError, ValueError) as err:
             raise CheckpointError(f"bad config: {err}") from err
         vocab, tagset, languages = (_inventory(payload, key)

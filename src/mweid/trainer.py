@@ -49,7 +49,7 @@ class TrainingDiverged(ArithmeticError):
         self.step = step
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainerConfig:
     alpha: float = 0.1
     lam: float = 1.0
@@ -78,6 +78,8 @@ class TrainerConfig:
                 f"got {self.lambda_schedule!r}")
         if self.clip_grad is not None and self.clip_grad <= 0:
             raise ValueError("clip_grad must be > 0 when set")
+
+    __post_init__ = validate
 
 
 @dataclass
@@ -207,7 +209,6 @@ def train(model: MweTagger, train_corpus: Corpus,
     the best-global-F1 parameter snapshot is kept on the report.
     """
     config = config or TrainerConfig()
-    config.validate()
     sentences = list(train_corpus)
     if not sentences:
         raise EmptyBatch("training corpus is empty")

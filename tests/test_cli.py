@@ -383,6 +383,16 @@ class TestTag:
             == f"error: parse error: {bad}: byte 3 (0xe9) is not UTF-8\n"
         assert not out.exists()
 
+    def test_non_canonical_token_id_is_a_parse_error(self, checkpoint,
+                                                      tmp_path, capsys):
+        bad = tmp_path / "bad.cupt"
+        bad.write_text("01\ta\ta\tX\t_\t_\t_\t_\t_\t_\t*\n")
+        out = tmp_path / "p.cupt"
+        assert run(["tag", str(checkpoint), str(bad), str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (f"error: parse error: {bad}:1: "
+                                           f"token id '01' is not written as 1\n")
+        assert not out.exists()
+
     def test_bad_checkpoint(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

@@ -99,6 +99,14 @@ class TestParsing:
         with pytest.raises(MalformedLine):
             parse_cupt("1\tonly\tthree\n")
 
+    # int() reads each of these as 1, and serialization would write "1".
+    @pytest.mark.parametrize("raw_id", ["01", "+1", " 1", "\uff11"])
+    def test_non_canonical_token_id_rejected_at_its_line(self, raw_id):
+        text = f"# c\n{raw_id}\ta\ta\tX\t_\t_\t_\t_\t_\t_\t*\n"
+        message = f"<string>:2: token id {raw_id!r} is not written as 1"
+        with pytest.raises(MalformedLine, match=f"^{re.escape(message)}$"):
+            parse_cupt(text)
+
     @pytest.mark.parametrize("field", ["x:VID", "0", "-1", "1:VID;1:VID", ";",
                                        "1:", "1:A:B"])
     def test_bad_mwe_column(self, field):

@@ -1,9 +1,10 @@
 """Model assembly: features, forward paths, prediction, checkpoints."""
 
+import inspect
 import io
 import json
 import math
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -63,6 +64,45 @@ class TestInventories:
 
     def test_float_fields_take_integers(self):
         small_config(steepness=10, lam=0).validate()
+
+
+class TestConfig:
+    @pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig)])
+    def test_every_field_refuses_assignment(self, name):
+        config = small_config()
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, getattr(config, name))
+
+    def test_replace_checks_again_with_the_message_of_validate(self):
+        unchecked = small_config()
+        object.__setattr__(unchecked, "window", -1)
+        with pytest.raises(ValueError) as by_validate:
+            unchecked.validate()
+        with pytest.raises(ValueError) as by_replace:
+            replace(small_config(), window=-1)
+        assert str(by_replace.value) == str(by_validate.value) \
+            == "window must be >= 0"
+
+    def test_a_saved_window_is_the_built_one(self, tiny_corpus, tmp_path):
+        # A window set after build would not fit hidden_w, and load would
+        # reject the checkpoint that save wrote.
+        model = MweTagger.build(small_config(), tiny_corpus)
+        with pytest.raises(FrozenInstanceError):
+            model.config.window = 2
+        model.save(tmp_path / "model.json")
+        assert MweTagger.load(tmp_path / "model.json").config == model.config
+
+    def test_lam_is_kept_by_the_config_alone(self, tiny_corpus, tmp_path):
+        # A second copy of lam could differ from the one save writes, and a
+        # reloaded model would then train with another default.
+        model = MweTagger.build(small_config(lam=0.5), tiny_corpus)
+        with pytest.raises(FrozenInstanceError):
+            model.config.lam = 0.0
+        assert not hasattr(model.discriminator, "lam")
+        assert "lam" not in inspect.signature(
+            model_mod.LanguageDiscriminator).parameters
+        model.save(tmp_path / "model.json")
+        assert MweTagger.load(tmp_path / "model.json").config.lam == 0.5
 
 
 class TestFeatures:

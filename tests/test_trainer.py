@@ -2,7 +2,7 @@
 
 import functools
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -96,6 +96,17 @@ class TestTrainStep:
                                  fresh.discriminator.parameters())]
         assert any(moved)
         assert names == {p.name for p in baseline.parameters()}
+
+    def test_default_lambda_is_the_model_config_lam(self):
+        corpus = training_corpus()
+        grads = {}
+        for lam in (None, 0.7, 1.0):
+            model = build(corpus, lam=0.7)
+            train_step(model, list(corpus), 0.2, lam=lam)
+            grads[lam] = [p.grad for p in model.parameters()]
+        assert all(np.array_equal(a, b) for a, b in zip(grads[None], grads[0.7]))
+        assert not all(np.array_equal(a, b)
+                       for a, b in zip(grads[None], grads[1.0]))
 
     def test_gradient_routing_disjoint(self):
         corpus = training_corpus()
@@ -205,6 +216,16 @@ class TestTrainLoop:
     def test_bad_schedule_rejected(self):
         with pytest.raises(ValueError):
             TrainerConfig(lambda_schedule="linear").validate()
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(TrainerConfig)])
+    def test_every_setting_refuses_assignment(self, name):
+        config = TrainerConfig()
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, getattr(config, name))
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ValueError, match="^epochs must be >= 1$"):
+            replace(TrainerConfig(), epochs=0)
 
     def test_empty_corpus_rejected(self):
         model = build(training_corpus())
