@@ -88,7 +88,9 @@ class Parameter(Tensor):
             return
         ids, sums = adjoint.summed()
         self.grad[ids] += sums
-        if self.rows is not ALL_ROWS:
+        if self.rows is _NO_ROWS:
+            self.rows = ids  # already sorted and distinct
+        elif self.rows is not ALL_ROWS:
             self.rows = np.union1d(self.rows, ids)
 
     def __repr__(self) -> str:

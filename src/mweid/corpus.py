@@ -19,6 +19,9 @@ from pathlib import Path
 CUPT_COLUMNS = ("ID", "FORM", "LEMMA", "UPOS", "XPOS", "FEATS",
                 "HEAD", "DEPREL", "DEPS", "MISC", "PARSEME:MWE")
 N_COLUMNS = len(CUPT_COLUMNS)
+# _NUMERALS[n] is token id n as CUPT writes it: a row whose id field equals
+# the numeral its position expects needs no int() or further check.
+_NUMERALS = tuple(map(str, range(1024)))
 
 
 class CuptError(ValueError):
@@ -259,7 +262,9 @@ def _parse_block(lines, first, last, language, source, memo) -> Sentence:
     """
     comments: list[str] = []
     tokens: list[Token] = []
+    annotated: list[Token] = []
     extra_rows: list[tuple[int, str]] = []
+    in_order = True
     block_check = False
     try:
         for line in lines[first:last]:
@@ -276,28 +281,37 @@ def _parse_block(lines, first, last, language, source, memo) -> Sentence:
                                     f"columns, got {n_columns}")
             head, _, mwe = line.rpartition("\t")
             raw_id, form, lemma, columns = head.split("\t", 3)
-            if "-" in raw_id or "." in raw_id:
-                # Range or empty-node row: no MWE annotation, kept verbatim.
-                extra_rows.append((len(tokens), line))
-                continue
-            try:
-                tok_id = int(raw_id)
-            except ValueError:
-                raise MalformedLine(
-                    f"token id {raw_id!r} is not an integer") from None
-            if str(tok_id) != raw_id:
-                raise MalformedLine(f"token id {raw_id!r} is not written as {tok_id}")
+            tok_id = len(tokens) + 1
+            if tok_id >= len(_NUMERALS) or raw_id != _NUMERALS[tok_id]:
+                if "-" in raw_id or "." in raw_id:
+                    # Range or empty-node row: no MWE annotation, kept verbatim.
+                    extra_rows.append((len(tokens), line))
+                    continue
+                try:
+                    tok_id = int(raw_id)
+                except ValueError:
+                    raise MalformedLine(
+                        f"token id {raw_id!r} is not an integer") from None
+                if str(tok_id) != raw_id:
+                    raise MalformedLine(
+                        f"token id {raw_id!r} is not written as {tok_id}")
+                in_order = False
             parsed = memo.get(mwe)
             if parsed is None:
                 parsed = memo[mwe] = (_parse_mwe_field(mwe), mwe)
-            tokens.append(Token(tok_id, form, lemma, columns, *parsed))
+            tags, raw = parsed
+            token = Token(tok_id, form, lemma, columns, tags, raw)
+            tokens.append(token)
+            if tags:
+                annotated.append(token)
         block_check = True
         if not tokens:
             raise MalformedLine("sentence block contains no token lines")
-        ids = [t.id for t in tokens]
-        if ids != list(range(1, len(ids) + 1)):
-            raise NonContiguousIds(f"token ids {ids} are not 1..{len(ids)}")
-        _check_mwe_rules(tokens)
+        if not in_order:
+            ids = [t.id for t in tokens]
+            if ids != list(range(1, len(ids) + 1)):
+                raise NonContiguousIds(f"token ids {ids} are not 1..{len(ids)}")
+        _check_mwe_rules(annotated)
     except CuptError as err:
         # Each row read before the failing one went to exactly one list.
         line_no = first + 1 + (0 if block_check else
@@ -396,17 +410,20 @@ def serialize_corpus(corpus: Corpus) -> str:
 
 def extract_mwes(sentence: Sentence) -> list[MweInstance]:
     """Collect one MweInstance per distinct MWE id, ordered by id."""
+    annotated = [token for token in sentence.tokens if token.mwe_tags]
+    if not annotated:
+        return []
     try:
-        members, categories = _check_mwe_rules(sentence.tokens)
+        members, categories = _check_mwe_rules(annotated)
     except CuptError as err:
         raise type(err)(f"sentence {sentence.sent_id!r}: {err}") from None
-    lemmas = sentence.lemmas()
+    tokens = sentence.tokens
     instances = []
     for mwe_id in sorted(members):
         indices = tuple(sorted(members[mwe_id]))
         instances.append(MweInstance(
             mwe_id=mwe_id, category=categories[mwe_id], token_indices=indices,
-            lemma_key=make_lemma_key(lemmas[i - 1] for i in indices)))
+            lemma_key=make_lemma_key(tokens[i - 1].lemma for i in indices)))
     return instances
 
 
@@ -483,7 +500,7 @@ def with_instances(sentence: Sentence, instances: list[MweInstance]) -> Sentence
     All other columns, comments and extra rows are untouched, so the
     serialized output differs from the input only in the last column. A
     token whose MWE field is already what the instances make of it is
-    kept as it is.
+    kept as it is, and so is a sentence with no token changed.
     """
     per_token: dict[int, list[tuple[int, VmweCategory | None]]] = {}
     for inst in instances:
@@ -492,6 +509,7 @@ def with_instances(sentence: Sentence, instances: list[MweInstance]) -> Sentence
             per_token.setdefault(position, []).append(
                 (inst.mwe_id, inst.category if position == first else None))
     tokens = []
+    changed = False
     for token in sentence.tokens:
         found = per_token.get(token.id)
         if found or token.mwe_tags or token.mwe_raw != "*":
@@ -500,8 +518,12 @@ def with_instances(sentence: Sentence, instances: list[MweInstance]) -> Sentence
             if memberships != token.mwe_tags or raw != token.mwe_raw:
                 token = Token(token.id, token.form, token.lemma,
                               token.columns, memberships, raw)
+                changed = True
         tokens.append(token)
-    return replace(sentence, tokens=tuple(tokens))
+    if not changed:
+        return sentence
+    return Sentence(tuple(tokens), sentence.sent_id, sentence.language,
+                    sentence.comments, sentence.extra_rows)
 
 
 def merge_corpora(parts: list[tuple[Corpus, str]]) -> Corpus:

@@ -241,6 +241,24 @@ class TestRowSparseAdjoint:
         sparse.zero_grad()
         assert not sparse.grad.any() and sparse.rows.size == 0
 
+    def test_rows_and_grad_as_union1d_gives(self):
+        # The first adjoint after zero_grad takes summed()'s ids as its rows;
+        # the reference unions every adjoint's ids into the empty rows.
+        rng = np.random.default_rng(22)
+        table = param(self.table_data.copy(), "table")
+        rows, grad = np.zeros(0, dtype=np.int64), table.grad.copy()
+        for ids in (self.ids_b, self.ids_a):
+            adjoint = ad.RowSparse(ids.reshape(-1),
+                                   rng.standard_normal((ids.size, 3)),
+                                   table.shape)
+            table.accumulate(adjoint)
+            summed_ids, sums = adjoint.summed()
+            grad[summed_ids] += sums
+            rows = np.union1d(rows, summed_ids)
+            assert table.rows.dtype == rows.dtype
+            assert np.array_equal(table.rows, rows)
+            assert table.grad.tobytes() == grad.tobytes()
+
     def test_dense_adjoint_after_sparse_rows_zeroes_everything(self):
         table = param(self.table_data.copy(), "table")
         backward(ad.sum_all(ad.embedding_lookup(table, self.ids_b)))

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 import mweid
 from mweid.corpus import (N_COLUMNS, BadMweColumn, Corpus, CuptError,
                           DanglingMweId, DuplicateLanguageCode, MalformedLine,
-                          NonContiguousIds, OverlapUnrepresentable, Token,
-                          VmweCategory, corpus_stats, decode_tags,
+                          MweInstance, NonContiguousIds,
+                          OverlapUnrepresentable, Token, VmweCategory,
+                          _check_mwe_rules, corpus_stats, decode_tags,
                           encode_tags, extract_mwes, format_mwe_field,
                           make_lemma_key, merge_corpora, parse_cupt,
                           parse_cupt_file, seen_lemma_keys, serialize_corpus,
-                          with_instances)
+                          serialize_sentence, with_instances)
 from conftest import (corpus_of, cupt_text, make_sentence, parse_rows,
                       random_sentence)
 
@@ -149,6 +150,34 @@ class TestParsing:
         with pytest.raises(NonContiguousIds, match=r"^<string>:2: token ids "
                                                    r"\[1, 3\] are not 1\.\.2$"):
             parse_cupt(text)
+
+    def test_out_of_order_ids_name_the_block(self):
+        text = ("# c\n1\ta\ta\tX\t_\t_\t_\t_\t_\t_\t*\n"
+                "3\tb\tb\tX\t_\t_\t_\t_\t_\t_\t*\n"
+                "2\tc\tc\tX\t_\t_\t_\t_\t_\t_\t*\n")
+        with pytest.raises(NonContiguousIds, match=r"^<string>:1: token ids "
+                                                   r"\[1, 3, 2\] are not 1\.\.3$"):
+            parse_cupt(text)
+
+    def test_row_error_after_out_of_order_id_comes_first(self):
+        text = ("1\ta\ta\tX\t_\t_\t_\t_\t_\t_\t*\n"
+                "3\tb\tb\tX\t_\t_\t_\t_\t_\t_\t*\n"
+                "01\tc\tc\tX\t_\t_\t_\t_\t_\t_\t*\n")
+        with pytest.raises(MalformedLine, match=r"^<string>:3: token id '01' "
+                                                r"is not written as 1$"):
+            parse_cupt(text)
+
+    def test_sentence_longer_than_numeral_table_round_trips(self):
+        mwe = {1050: "1:VID", 1100: "1"}
+        text = cupt_text([(f"w{i}", f"L{i}", mwe.get(i, "*"))
+                          for i in range(1, 1101)])
+        corpus = parse_cupt(text)
+        (sentence,) = corpus.sentences
+        assert [t.id for t in sentence.tokens] == list(range(1, 1101))
+        (instance,) = extract_mwes(sentence)
+        assert instance.token_indices == (1050, 1100)
+        assert instance.lemma_key == ("l1050", "l1100")
+        assert serialize_corpus(corpus) == text
 
     def test_non_contiguous_mwe_ids(self):
         with pytest.raises(NonContiguousIds):
@@ -318,7 +347,60 @@ class TestCategory:
             VmweCategory(code)
 
 
+def _extract_mwes_reference(sentence):
+    """``extract_mwes`` as it read before it skipped unannotated tokens:
+    the MWE rules over every token, lemmas taken from ``lemmas()``."""
+    try:
+        members, categories = _check_mwe_rules(sentence.tokens)
+    except CuptError as err:
+        raise type(err)(f"sentence {sentence.sent_id!r}: {err}") from None
+    lemmas = sentence.lemmas()
+    instances = []
+    for mwe_id in sorted(members):
+        indices = tuple(sorted(members[mwe_id]))
+        instances.append(MweInstance(
+            mwe_id=mwe_id, category=categories[mwe_id], token_indices=indices,
+            lemma_key=make_lemma_key(lemmas[i - 1] for i in indices)))
+    return instances
+
+
+# Memberships drawn into hand-built sentences: with each other they make
+# overlaps, dangling and non-contiguous ids, and misplaced categories.
+_MEMBERSHIPS = ((), (), (), ((1, VmweCategory("VID")),), ((1, None),),
+                ((2, VmweCategory("IRV")),), ((2, None),), ((3, None),),
+                ((1, None), (2, VmweCategory("LVC.full"))))
+
+
 class TestExtract:
+    def test_matches_all_tokens_reference(self, ro_corpus, fr_corpus):
+        # The parser checks the same rules and names the block's first line.
+        rng = np.random.default_rng(15)
+        sentences = [*ro_corpus, *fr_corpus]
+        sentences += [random_sentence(rng, sent_id=f"r{i}") for i in range(200)]
+        for index in range(600):
+            base = make_sentence(["Ab", "cD", "é", "F", "g"][:1 + index % 5],
+                                 sent_id=f"h{index}")
+            drawn = (_MEMBERSHIPS[i] for i in
+                     rng.integers(len(_MEMBERSHIPS), size=len(base)))
+            sentences.append(replace(base, tokens=tuple(
+                replace(t, mwe_tags=tags, mwe_raw=format_mwe_field(tags))
+                for t, tags in zip(base.tokens, drawn))))
+        outcomes = set()
+        for sentence in sentences:
+            got, want = (_outcome(extract, sentence) for extract in
+                         (extract_mwes, _extract_mwes_reference))
+            assert got == want, sentence.sent_id
+            parsed = _outcome(parse_cupt, serialize_sentence(sentence) + "\n")
+            if isinstance(want, tuple):
+                outcomes.add(want[0])
+                assert parsed == (want[0], want[1].replace(
+                    f"sentence {sentence.sent_id!r}", "<string>:1")), want
+            else:
+                outcomes.add(bool(want))
+                assert parsed.sentences[0].tokens == sentence.tokens
+        assert outcomes == {True, False, NonContiguousIds, DanglingMweId,
+                            BadMweColumn}
+
     def test_se_gandi_example(self):
         s = parse_rows([("El", "el", "*"), ("se", "se", "1:IRV"),
                         ("gândi", "gândi", "1")])
@@ -465,6 +547,18 @@ class TestRewrite:
         assert [t.columns for t in out.tokens] == ["X\t_\t_\t_\t_\t_\t_"] * 4
         assert [t.mwe_raw for t in out.tokens] == ["1:VID", "1", "*", "*"]
         assert out.tokens[2].mwe_tags == ()
+
+    def test_with_instances_keeps_an_untouched_sentence(self):
+        s = parse_rows([("a", "a", "1:VID"), ("b", "b", "*"), ("c", "c", "1")])
+        assert with_instances(s, extract_mwes(s)) is s
+        assert with_instances(s, []) == parse_rows(
+            [("a", "a", "*"), ("b", "b", "*"), ("c", "c", "*")])
+        blank = parse_rows([("a", "a", "*"), ("b", "b", "_")])
+        out = with_instances(blank, extract_mwes(blank))
+        assert out is not blank
+        assert [t.mwe_raw for t in out.tokens] == ["*", "*"]
+        assert (out.sent_id, out.language, out.comments, out.extra_rows) == (
+            blank.sent_id, blank.language, blank.comments, blank.extra_rows)
 
     def test_with_instances_matches_rebuilding_every_field(self):
         rng = np.random.default_rng(5)
