@@ -5,10 +5,14 @@ vector-Jacobian products that route adjoints to its inputs. backward()
 walks the graph once in reverse topological order, accumulating
 gradients into Parameter leaves; the graph itself is ephemeral (rebuilt
 by every forward pass), so repeated backward calls over shared
-subgraphs simply sum their contributions. A Parameter allocates its
+subgraphs simply sum their contributions. No adjoint is computed for a
+constant, a leaf that is not a Parameter. A Parameter allocates its
 value and gradient arrays once and writes both in place, only in the
 rows it names: an embedding lookup hands its table a RowSparse adjoint
-that names the rows a step used, any other adjoint names them all.
+that names the rows a step used, any other adjoint names them all. A
+RowSparse adjoint sums the rows of each id with one ``np.bincount``,
+adding them in order of occurrence as ``np.add.at`` does, so its sums
+are bitwise those of the dense adjoint.
 
 Broadcasting is deliberately restricted to a trailing-axis vector
 (bias-style) in add/mul; everything else requires exact shapes.
@@ -115,11 +119,15 @@ class RowSparse:
 
     def summed(self) -> tuple[np.ndarray, np.ndarray]:
         """(sorted distinct ids, their rows of ``dense()``), with each id's
-        rows summed in the same order as ``dense`` sums them."""
+        rows summed in the same order as ``dense`` sums them: bincount adds
+        the weights of each bin in input order, starting from 0.0."""
         ids, inverse = np.unique(self.ids, return_inverse=True)
-        sums = np.zeros((len(ids), self.shape[1]))
-        np.add.at(sums, inverse, self.rows)
-        return ids, sums
+        width = self.shape[1]
+        bins = (inverse.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        sums = np.bincount(bins, weights=self.rows.reshape(-1),
+                           minlength=len(ids) * width)
+        # bincount gives integers when there is nothing to count.
+        return ids, sums.astype(np.float64, copy=False).reshape(len(ids), width)
 
 
 def _dense(adjoint) -> np.ndarray:
@@ -130,8 +138,14 @@ def tensor(data) -> Tensor:
     return Tensor(data)
 
 
-def _node(data, vjps, op) -> Tensor:
-    return Tensor(data, vjps=vjps, op=op)
+def _node(data, vjps: tuple, op: str) -> Tensor:
+    """An operation's node. ``data`` is float64 and ``vjps`` a tuple, so
+    only a numpy scalar (a 0-d result) is converted, to a 0-d array."""
+    node = object.__new__(Tensor)
+    node.data = data if type(data) is np.ndarray else np.asarray(data)
+    node.vjps = vjps
+    node.op = op
+    return node
 
 
 def _require_2d(x: Tensor, op: str) -> None:
@@ -190,13 +204,10 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
-    # Branch on sign to avoid overflow in exp.
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    ex = np.exp(x[~positive])
-    out[~positive] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows: 1/(1+e^-x) where x >= 0, e^x/(1+e^x) else.
+    e = np.exp(-np.abs(x))
+    denominator = 1.0 + e
+    return np.where(x >= 0, 1.0 / denominator, e / denominator)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -244,9 +255,8 @@ def concat(parts: list[Tensor]) -> Tensor:
             f"concat: row counts differ: {[p.shape for p in parts]}")
     widths = [part.shape[1] for part in parts]
     offsets = np.cumsum([0] + widths)
-    vjps = []
-    for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-        vjps.append((part, lambda g, lo=lo, hi=hi: g[:, lo:hi]))
+    vjps = tuple((part, lambda g, lo=lo, hi=hi: g[:, lo:hi])
+                 for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]))
     return _node(np.concatenate([p.data for p in parts], axis=1), vjps, "concat")
 
 
@@ -289,13 +299,14 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ShapeMismatch(f"labels must lie in [0, {n_classes})")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    softmax = exp / exp.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(exp.sum(axis=1, keepdims=True))
-    loss = -log_probs[np.arange(n), labels].mean()
+    totals = exp.sum(axis=1, keepdims=True)
+    rows = np.arange(n)
+    # The labels' log-probabilities alone: shifted - log(total), per row.
+    loss = -(shifted[rows, labels] - np.log(totals[:, 0])).mean()
 
     def vjp(g):
-        grad = softmax.copy()
-        grad[np.arange(n), labels] -= 1.0
+        grad = exp / totals
+        grad[rows, labels] -= 1.0
         return grad * (float(g) / n)
 
     return _node(loss, ((logits, vjp),), "softmax_ce")
@@ -343,26 +354,34 @@ def backward(loss: Tensor) -> None:
     ``loss`` must hold a single value. Adjoints of interior nodes live
     only for the duration of the walk, so backpropagating two losses
     that share a subgraph gives the same parameter gradients as
-    backpropagating their sum. A RowSparse adjoint stays sparse until it
-    meets another adjoint or reaches a node that is not a leaf.
+    backpropagating their sum. No vjp that routes into a constant (a
+    leaf that is not a Parameter) is called. A RowSparse adjoint stays
+    sparse until it meets another adjoint or reaches a node that is not
+    a leaf.
     """
     if loss.data.size != 1:
         raise NotScalarLoss(f"loss has shape {loss.shape}, expected a scalar")
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(_topo_order(loss)):
-        adjoint = adjoints.pop(id(node))
+        adjoint = adjoints.pop(id(node), None)
+        if adjoint is None:  # a constant: nothing was routed to it
+            continue
         if not node.vjps:
             if isinstance(node, Parameter):
                 node.accumulate(adjoint)
             continue
-        adjoint = _dense(adjoint)
+        if type(adjoint) is RowSparse:
+            adjoint = adjoint.dense()
         for parent, vjp in node.vjps:
+            if not parent.vjps and not isinstance(parent, Parameter):
+                continue
             contribution = vjp(adjoint)
             key = id(parent)
-            if key in adjoints:
-                adjoints[key] = _dense(adjoints[key]) + _dense(contribution)
-            else:
+            previous = adjoints.get(key)
+            if previous is None:
                 adjoints[key] = contribution
+            else:
+                adjoints[key] = _dense(previous) + _dense(contribution)
 
 
 def zero_grads(params) -> None:

@@ -19,6 +19,7 @@ import json
 import math
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -446,17 +447,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a warning as one ``warning: <message>`` line on stderr, without
+    the source location, so stderr does not depend on the install path."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.exit_code
-    except CuptError as err:
-        print(f"error: parse error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except CliError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return err.exit_code
+        except CuptError as err:
+            print(f"error: parse error: {err}", file=sys.stderr)
+            return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -172,13 +172,19 @@ class Batch:
                      None if self.tags is None else self.tags[rows],
                      None if self.languages is None else self.languages[indices])
 
+    def sentences(self, start: int, stop: int) -> "Batch":
+        """Sentences ``start:stop``, their arrays views of this batch's."""
+        first, last = self.offsets[start], self.offsets[stop]
+        return Batch(self.windows[first:last],
+                     self.offsets[start:stop + 1] - first,
+                     None if self.tags is None else self.tags[first:last],
+                     None if self.languages is None
+                     else self.languages[start:stop])
+
     def pooling(self) -> np.ndarray:
         """[B, N] matrix that averages each sentence's token rows."""
         lengths = np.diff(self.offsets)
-        matrix = np.zeros((len(lengths), len(self)))
-        matrix[np.repeat(np.arange(len(lengths)), lengths), np.arange(len(self))] \
-            = np.repeat(1.0 / lengths, lengths)
-        return matrix
+        return np.repeat(np.eye(len(lengths)) / lengths, lengths, axis=1)
 
 
 class FeatureExtractor:

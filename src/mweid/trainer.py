@@ -195,7 +195,10 @@ def train_step(model: MweTagger, batch: list[Sentence] | Batch, alpha: float,
         _clip_gradients(params, clip_grad)
     for param in params:  # any other entry would get x - alpha * 0.0 == x
         rows = param.rows
-        param.data[rows] = param.data[rows] - alpha * param.grad[rows]
+        if rows is ad.ALL_ROWS:
+            np.subtract(param.data, alpha * param.grad, out=param.data)
+        else:
+            param.data[rows] = param.data[rows] - alpha * param.grad[rows]
     return float(loss_y.data), lang_loss, lang_correct
 
 
@@ -221,14 +224,15 @@ def train(model: MweTagger, train_corpus: Corpus,
     report = TrainingReport()
     step = 0
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(sentences)) if config.shuffle \
-            else np.arange(len(sentences))
+        # One gather per epoch; each step's batch is a view of it.
+        epoch_data = data.select(rng.permutation(len(sentences))) \
+            if config.shuffle else data
         tag_loss_sum = 0.0
         lang_loss_sum = 0.0
         lang_correct = 0
         for start in range(0, len(sentences), config.batch_size):
-            indices = order[start:start + config.batch_size]
-            batch = data.select(indices)
+            stop = min(start + config.batch_size, len(sentences))
+            batch = epoch_data.sentences(start, stop)
             progress = step / (total_steps - 1) if total_steps > 1 else 1.0
             lam = lambda_at(config.lambda_schedule, progress, config.lam)
             tag_loss, lang_loss, correct = train_step(
@@ -237,7 +241,7 @@ def train(model: MweTagger, train_corpus: Corpus,
             if not math.isfinite(tag_loss + lang_loss):
                 raise TrainingDiverged("the loss is not finite", epoch, step)
             tag_loss_sum += tag_loss * len(batch)
-            lang_loss_sum += lang_loss * len(indices)
+            lang_loss_sum += lang_loss * (stop - start)
             lang_correct += correct
         if not all(np.isfinite(p.data).all() for p in model.parameters()):
             raise TrainingDiverged("a parameter is not finite", epoch, step)

@@ -57,6 +57,52 @@ def dense_lookup(table, ids):
                      vjps=((table, vjp),), op="embedding")
 
 
+def reference_backward(loss):
+    """``ad.backward`` as it was before constants were skipped: every vjp
+    of the tape is called, the adjoints of constant leaves included, and
+    those adjoints are then dropped. The reference for the walk."""
+    adjoints = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(ad._topo_order(loss)):
+        adjoint = adjoints.pop(id(node))
+        if not node.vjps:
+            if isinstance(node, ad.Parameter):
+                node.accumulate(adjoint)
+            continue
+        adjoint = ad._dense(adjoint)
+        for parent, vjp in node.vjps:
+            contribution = vjp(adjoint)
+            key = id(parent)
+            if key in adjoints:
+                adjoints[key] = ad._dense(adjoints[key]) + ad._dense(contribution)
+            else:
+                adjoints[key] = contribution
+
+
+def refuse_constant_vjps(loss):
+    """Replace every vjp that routes into a constant leaf of ``loss``'s
+    tape with one that fails the test; return how many were replaced."""
+    replaced = 0
+
+    def refuse(g):
+        raise AssertionError("backward called the vjp of a constant")
+
+    for node in ad._topo_order(loss):
+        pairs = []
+        for parent, vjp in node.vjps:
+            if not parent.vjps and not isinstance(parent, ad.Parameter):
+                vjp = refuse
+                replaced += 1
+            pairs.append((parent, vjp))
+        node.vjps = tuple(pairs)
+    return replaced
+
+
+def bits(array):
+    """The float64 bit patterns of ``array``: equal only if bitwise equal,
+    so 0.0 and -0.0 differ."""
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.int64)
+
+
 def corpus_of(*sentences, language=None):
     if language is not None:
         from dataclasses import replace

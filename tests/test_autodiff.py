@@ -7,7 +7,7 @@ from mweid import autodiff as ad
 from mweid.autodiff import (IndexOutOfVocab, NotScalarLoss, Parameter,
                             ShapeMismatch, backward,
                             finite_difference_check, grad_reverse, zero_grads)
-from conftest import dense_lookup
+from conftest import bits, dense_lookup, reference_backward, refuse_constant_vjps
 
 
 def param(data, name="p"):
@@ -267,6 +267,100 @@ class TestRowSparseAdjoint:
         assert table.rows is ad.ALL_ROWS
         table.zero_grad()
         assert not table.grad.any() and table.rows.size == 0
+
+
+def _masked_expit(x):
+    """The form ``_expit`` replaced: each sign's branch on its own entries,
+    scattered back through a boolean mask."""
+    out = np.empty_like(x)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    ex = np.exp(x[~positive])
+    out[~positive] = ex / (1.0 + ex)
+    return out
+
+
+class TestFastPathsMatchReferences:
+    # Each fast path against the form it replaced, bit for bit.
+
+    @pytest.mark.parametrize("case", ["random", "pad", "one-id", "last-row",
+                                      "empty"])
+    def test_summed_is_dense_bitwise(self, case):
+        rng = np.random.default_rng(31)
+        vocab, width, n = 50, 6, 400
+        ids = {"random": rng.integers(0, vocab, n),
+               "pad": np.where(rng.random(n) < 0.6, 0,
+                               rng.integers(1, vocab, n)),
+               "one-id": np.full(n, 7),
+               "last-row": np.concatenate([rng.integers(0, vocab, n - 40),
+                                           np.full(40, vocab - 1)]),
+               "empty": np.zeros(0, dtype=np.int64)}[case]
+        # Magnitudes over 16 decades: a sum's bits depend on its order.
+        rows = (rng.standard_normal((len(ids), width))
+                * 10.0 ** rng.integers(-8, 8, (len(ids), 1)))
+        adjoint = ad.RowSparse(ids, rows, (vocab, width))
+        summed_ids, sums = adjoint.summed()
+        dense = adjoint.dense()
+        assert summed_ids.tolist() == sorted(set(ids.tolist()))
+        assert sums.dtype == np.float64
+        assert sums.shape == (len(summed_ids), width)
+        assert np.array_equal(bits(sums), bits(dense[summed_ids]))
+        if len(ids):
+            reversed_sums = ad.RowSparse(ids[::-1], rows[::-1],
+                                         (vocab, width)).dense()
+            assert not np.array_equal(reversed_sums, dense)
+
+    def test_expit_is_the_masked_form_bitwise(self):
+        rng = np.random.default_rng(32)
+        special = np.array([0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0,
+                            1e308, -1e308, np.inf, -np.inf])
+        spread = rng.standard_normal(990) * 10.0 ** rng.integers(-4, 4, 990)
+        for x in (special, spread.reshape(30, 33),
+                  np.concatenate([special, spread])):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                fast = ad._expit(x)
+            assert fast.shape == x.shape
+            assert np.array_equal(bits(fast), bits(_masked_expit(x)))
+        assert ad._expit(special)[[0, 1, 8, 9]].tolist() == [0.5, 0.5, 1.0, 0.0]
+
+    def test_backward_skips_constants_with_equal_gradients(self):
+        rng = np.random.default_rng(33)
+        const = ad.tensor(rng.standard_normal((3, 4)))
+        shared = ad.tensor(rng.standard_normal(4))
+        w_data, v_data = rng.standard_normal((4, 2)), rng.standard_normal((3, 4))
+
+        def loss_and_params():
+            # Constants meet parameters in mul, add, both sides of matmul and
+            # concat; ``const`` feeds five nodes.
+            w, v = param(w_data, "w"), param(v_data, "v")
+            hidden = ad.relu(ad.add(ad.mul(v, const), shared))
+            left = ad.matmul(const, ad.transpose(v))
+            right = ad.matmul(ad.add(hidden, ad.mul(hidden, const)), w)
+            mixed = ad.concat([right, ad.matmul(left, const), const])
+            return ad.sum_all(ad.sigmoid(mixed)), [w, v]
+
+        loss, params = loss_and_params()
+        assert refuse_constant_vjps(loss) == 6
+        backward(loss)
+        reference_loss, reference_params = loss_and_params()
+        reference_backward(reference_loss)
+        for fast, slow in zip(params, reference_params):
+            assert fast.grad.any(), fast.name
+            assert np.array_equal(bits(fast.grad), bits(slow.grad)), fast.name
+
+    def test_scalar_results_are_0d_arrays(self):
+        x = param([[1.0, -2.0], [0.5, 3.0]])
+        loss = ad.softmax_cross_entropy(x, [1, 0])
+        for node in (ad.sum_all(x), ad.mean(x), loss, ad.add(loss, loss),
+                     ad.mul(loss, loss), ad.scale(loss, 2.0)):
+            assert type(node.data) is np.ndarray and node.data.shape == ()
+            assert node.data.dtype == np.float64
+
+    def test_a_leaf_loss(self):
+        backward(ad.tensor(3.0))  # a constant: nothing to accumulate
+        p = param([2.0])
+        backward(p)
+        assert p.grad.tolist() == [1.0]
 
 
 class TestGradReverse:

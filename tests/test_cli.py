@@ -14,6 +14,7 @@ from mweid.corpus import (_write_atomic, parse_cupt, parse_cupt_file,
 from mweid.model import ModelConfig, MweTagger
 from mweid.trainer import TrainerConfig, train
 from mweid.corpus import merge_corpora
+from conftest import cupt_text
 
 RO = mweid.fixture_path("synthetic_ro.cupt")
 FR = mweid.fixture_path("synthetic_fr.cupt")
@@ -529,6 +530,23 @@ class TestOverfitReproduction:
             # The fixtures have no overlapping MWEs and carry canonical
             # columns, so a perfectly overfit model reproduces them exactly.
             assert pred.read_text() == open(source).read()
+
+
+class TestWarnings:
+    def test_overlap_warning_is_one_line_without_a_source_location(
+            self, tmp_path, capsys):
+        corpus = tmp_path / "overlap.cupt"
+        corpus.write_text(cupt_text([("a", "a", "1:VID"), ("b", "b", "1;2:IRV"),
+                                     ("c", "c", "2")]))
+        assert run(["train", "--train", f"RO={corpus}", "--out",
+                    str(tmp_path / "run"), "--epochs", "1"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: tokens [2] belong to more than one MWE; flat IOB2 tags "
+            "keep only the earliest-starting instance"]
+        assert "corpus.py" not in captured.err
+        assert "warnings.warn" not in captured.err
+        assert captured.out.startswith("trained 1 epochs; final tag loss ")
 
 
 class TestDeterminism:

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from mweid import model as model_mod
-from mweid.model import (JSON_CHUNK, CheckpointError, ModelConfig, MweTagger,
-                         PAD_ID, UNK_ID, UnknownLanguage, build_tagset,
-                         build_vocab)
-from conftest import corpus_of, make_sentence
+from mweid.model import (JSON_CHUNK, Batch, CheckpointError, ModelConfig,
+                         MweTagger, PAD_ID, UNK_ID, UnknownLanguage,
+                         build_tagset, build_vocab)
+from conftest import bits, corpus_of, make_sentence
 
 
 def small_config(**overrides):
@@ -503,6 +503,36 @@ class TestBatch:
                                               batch.windows[0:1]]))
         assert np.array_equal(picked.pooling(),
                               [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("lengths", [[1], [5], [1, 3, 2], [7, 1, 1, 12, 3],
+                                         list(range(1, 30))])
+    def test_pooling_is_the_scattered_matrix_bitwise(self, lengths):
+        offsets = np.cumsum([0] + lengths)
+        batch = Batch(np.zeros((offsets[-1], 3), dtype=np.int64), offsets)
+        # The construction pooling() replaced: 1/len scattered into zeros.
+        reference = np.zeros((len(lengths), offsets[-1]))
+        reference[np.repeat(np.arange(len(lengths)), lengths),
+                  np.arange(offsets[-1])] = np.repeat(1.0 / np.array(lengths),
+                                                      lengths)
+        assert np.array_equal(bits(batch.pooling()), bits(reference))
+
+    def test_sentences_are_views_equal_to_select(self):
+        lengths = [2, 1, 4, 3, 1]
+        offsets = np.cumsum([0] + lengths)
+        batch = Batch(np.arange(offsets[-1] * 3).reshape(-1, 3), offsets,
+                      tags=np.arange(offsets[-1]) * 2,
+                      languages=np.array([1, 0, 1, 1, 0]))
+        for start, stop in ((0, 5), (0, 1), (1, 4), (3, 5), (4, 5)):
+            view = batch.sentences(start, stop)
+            picked = batch.select(np.arange(start, stop))
+            for name in ("windows", "offsets", "tags", "languages"):
+                assert np.array_equal(getattr(view, name),
+                                      getattr(picked, name)), name
+            for name in ("windows", "tags", "languages"):
+                assert np.shares_memory(getattr(view, name),
+                                        getattr(batch, name)), name
+        untrained = Batch(batch.windows, offsets).sentences(1, 3)
+        assert untrained.tags is None and untrained.languages is None
 
     def test_batched_forward_matches_each_sentence(self, tiny_corpus):
         model = MweTagger.build(small_config(), tiny_corpus)

@@ -15,7 +15,8 @@ from mweid.corpus import Corpus
 from mweid.model import PAD_ID, ModelConfig, MweTagger, UnknownLanguage
 from mweid.trainer import (EmptyBatch, TrainerConfig, TrainingDiverged,
                            gold_tag_ids, lambda_at, train, train_step)
-from conftest import corpus_of, dense_lookup, make_sentence, random_sentence
+from conftest import (bits, corpus_of, dense_lookup, make_sentence,
+                      random_sentence, reference_backward, refuse_constant_vjps)
 
 
 def training_corpus():
@@ -516,3 +517,76 @@ def test_steps_write_every_parameter_in_place(monkeypatch):
     assert len(given) == len(params)
     for name, (array, before) in given.items():
         assert np.array_equal(array, before), name
+
+
+# --------------------------------------------------------------------------
+# The training loop against the loop it replaced: one ``data.select`` per
+# step, of the step's slice of the epoch's order, then ``train_step``.
+# --------------------------------------------------------------------------
+
+def _reference_train(model, corpus, config):
+    data = trainer.encode(model, list(corpus))
+    n = len(corpus)
+    rng = np.random.default_rng(config.seed)
+    total_steps = config.epochs * -(-n // config.batch_size)
+    report, step = trainer.TrainingReport(), 0
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        tag_sum = lang_sum = 0.0
+        correct_sum = 0
+        for start in range(0, n, config.batch_size):
+            indices = order[start:start + config.batch_size]
+            batch = data.select(indices)
+            progress = step / (total_steps - 1) if total_steps > 1 else 1.0
+            lam = lambda_at(config.lambda_schedule, progress, config.lam)
+            tag_loss, lang_loss, correct = train_step(
+                model, batch, config.alpha, lam=lam, clip_grad=config.clip_grad)
+            step += 1
+            tag_sum += tag_loss * len(batch)
+            lang_sum += lang_loss * len(indices)
+            correct_sum += correct
+        report.epochs.append(trainer.EpochRecord(
+            epoch=epoch, tag_loss=tag_sum / len(data), lang_loss=lang_sum / n,
+            lang_accuracy=correct_sum / n))
+    return report
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 16])
+@pytest.mark.parametrize("clip_grad", [None, 0.05])
+@pytest.mark.parametrize("schedule", ["constant", "dann_ramp"])
+@pytest.mark.parametrize("shuffle", [True, False])
+def test_train_matches_select_per_step_reference(batch_size, clip_grad,
+                                                 schedule, shuffle):
+    rng = np.random.default_rng(60 + batch_size)
+    corpus = corpus_of(*(replace(random_sentence(rng, sent_id=f"t{i}"),
+                                 language=("RO", "FR")[i % 2])
+                         for i in range(23)))
+    config = TrainerConfig(alpha=0.4, lam=0.8, lambda_schedule=schedule,
+                           epochs=3, batch_size=batch_size, seed=4,
+                           shuffle=shuffle, clip_grad=clip_grad)
+    model, reference = build(corpus, hidden_dim=8), build(corpus, hidden_dim=8)
+    report = train(model, corpus, None, config)
+    expected = _reference_train(reference, corpus, config)
+    assert report.to_jsonl() == expected.to_jsonl()
+    for param, want in zip(model.parameters(), reference.parameters()):
+        assert np.array_equal(bits(param.data), bits(want.data)), param.name
+
+
+def test_step_never_calls_a_constant_vjp_and_keeps_gradients():
+    # The pooling matrix is a constant leaf of every adversarial step.
+    corpus = training_corpus()
+    model, reference = build(corpus), build(corpus)
+    batch = trainer.encode(model, list(corpus)).select([3, 0, 4])
+    losses = []
+    for tagger in (model, reference):
+        ad.zero_grads(tagger.parameters())
+        tag_logits, lang_logits = tagger.forward(batch, lam=0.6)
+        losses.append(ad.add(ad.softmax_cross_entropy(tag_logits, batch.tags),
+                             ad.softmax_cross_entropy(lang_logits,
+                                                      batch.languages)))
+    assert refuse_constant_vjps(losses[0]) == 1
+    ad.backward(losses[0])
+    reference_backward(losses[1])
+    for param, want in zip(model.parameters(), reference.parameters()):
+        assert np.array_equal(bits(param.grad), bits(want.grad)), param.name
+        assert np.array_equal(param.rows, want.rows), param.name
