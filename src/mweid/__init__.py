@@ -6,7 +6,13 @@ training via gradient reversal, and PARSEME-style global/unseen
 MWE-based evaluation.
 """
 
+import os
 from importlib.resources import files
+
+# Seeded runs are byte-identical at one BLAS thread: set before numpy loads.
+os.environ.update(dict.fromkeys((
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"), "1"))
 
 from .corpus import (Corpus, MweInstance, Sentence, Token, VmweCategory,
                      corpus_stats, decode_tags, encode_tags, extract_mwes,

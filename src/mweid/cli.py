@@ -1,8 +1,8 @@
 """Batch command-line interface: train, tag, eval, gradcheck, stats.
 
-Every run is non-interactive and deterministic; cmd_train echoes its
-fully resolved configuration into the output directory so the run can
-be reproduced byte-for-byte. Exit codes are part of the contract:
+Every run is non-interactive and deterministic. cmd_train writes its full
+RunConfig to config.json, which replays the run byte for byte (a partial
+file loads with current defaults). Exit codes are part of the contract:
 
     0  success
     2  configuration/usage error (bad flags, missing files, bad checkpoint)
@@ -20,6 +20,7 @@ import math
 import shutil
 import sys
 import warnings
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ GRADCHECK_THRESHOLD = 1e-5
 
 
 class CliError(Exception):
-    def __init__(self, message: str, exit_code: int):
+    def __init__(self, message: str, exit_code: int = EXIT_CONFIG):
         super().__init__(message)
         self.exit_code = exit_code
 
@@ -58,11 +59,10 @@ def _inputs(specs: list[str], need_language: bool = False):
         if not (sep and language.isalnum() and len(language) <= 8):
             language, path = None, spec
         if not Path(path).is_file():
-            raise CliError(f"no such file: {path}", EXIT_CONFIG)
+            raise CliError(f"no such file: {path}")
         if need_language and language is None:
             raise CliError(
-                f"training/eval inputs need a language code: LANG={spec}",
-                EXIT_CONFIG)
+                f"training/eval inputs need a language code: LANG={spec}")
         inputs.append((language, path))
     return inputs
 
@@ -75,88 +75,90 @@ def _load(inputs) -> corpus_mod.Corpus:
         for sentence in parse_cupt_file(path, language=language)))
 
 
-def _set_by_path(config: dict, dotted: str, raw: str) -> None:
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    keys = dotted.split(".")
-    target = config
-    for key in keys[:-1]:
-        target = target.setdefault(key, {})
-        if not isinstance(target, dict):
-            raise CliError(f"--set {dotted}: {key} is not a section",
-                           EXIT_CONFIG)
-    target[keys[-1]] = value
+@dataclass(frozen=True)
+class RunConfig:
+    """One ``mweid train`` run; ``asdict`` of it is its ``config.json``."""
+    model: ModelConfig
+    trainer: TrainerConfig
+    train: tuple[str, ...]
+    dev: tuple[str, ...]
+    out_dir: str
 
 
-def _check_shape(config: dict, origin: str) -> None:
-    """Raise a CliError unless ``config`` holds only the sections, file lists
-    and output directory train reads, with the types train reads them as."""
-    def bad(what: str) -> CliError:
-        return CliError(f"{origin}: {what}", EXIT_CONFIG)
-
-    known = ("model", "trainer", "train", "dev", "out_dir")
-    for key in config:
-        if key not in known:
-            raise bad(f"unknown key {key!r}; expected one of {', '.join(known)}")
-    for key in ("model", "trainer"):
-        if not isinstance(config.get(key, {}), dict):
-            raise bad(f"{key!r} is not an object")
-    for key in ("train", "dev"):
-        files = config.get(key, [])
-        if not (isinstance(files, list)
-                and all(isinstance(spec, str) for spec in files)):
-            raise bad(f"{key!r} is not a list of strings")
-    if not isinstance(config.get("out_dir", ""), str):
-        raise bad("'out_dir' is not a string")
+# RunConfig field annotation -> what its JSON value must be, and its type.
+_LAYOUT = {"ModelConfig": ("an object", dict), "str": ("a string", str),
+           "TrainerConfig": ("an object", dict),
+           "tuple[str, ...]": ("a list of strings", list)}
+_SECTIONS = {"model": ModelConfig, "trainer": TrainerConfig}
 
 
-def _resolve_train_config(args) -> dict:
-    config: dict = {"model": {}, "trainer": {}, "train": [], "dev": []}
+def _check_layout(config, origin, config_class=RunConfig, where=""):
+    """Raise a CliError unless ``config`` is an object keyed by fields of
+    ``config_class`` and, at the top level, valued by their JSON types."""
+    if not isinstance(config, dict):
+        raise CliError(f"{origin}: the top level is not an object")
+    annotations = {field.name: field.type for field in fields(config_class)}
+    for key, value in config.items():
+        if key not in annotations:
+            raise CliError(f"{origin}: unknown key {key!r}{where}; expected "
+                           f"one of {', '.join(annotations)}")
+        if config_class is RunConfig:
+            what, json_type = _LAYOUT[annotations[key]]
+            if not isinstance(value, json_type) or json_type is list and any(
+                    not isinstance(spec, str) for spec in value):
+                raise CliError(f"{origin}: {key!r} is not {what}")
+            if json_type is dict:
+                _check_layout(value, origin, _SECTIONS[key], f" in {key!r}")
+
+
+def _run_config(args) -> RunConfig:
+    """The ``--config`` file, then the flags (``--set`` shorthands), then each
+    ``--set``, a later value replacing an earlier; the rest are defaults."""
+    config = {}
     if args.config:
         path = Path(args.config)
         if not path.is_file():
-            raise CliError(f"no such config file: {path}", EXIT_CONFIG)
+            raise CliError(f"no such config file: {path}")
         try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
+            config = json.loads(path.read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise CliError(f"bad config file: {path} is not UTF-8 JSON: "
-                           f"{err}", EXIT_CONFIG) from err
-        if not isinstance(loaded, dict):
-            raise CliError("bad config file: the top level is not an object",
-                           EXIT_CONFIG)
-        _check_shape(loaded, "bad config file")
-        config.update(loaded)
-    for spec in args.train or []:
-        config["train"].append(spec)
-    for spec in args.dev or []:
-        config["dev"].append(spec)
-    if args.out:
-        config["out_dir"] = args.out
-    if args.epochs is not None:
-        config["trainer"]["epochs"] = args.epochs
-    if args.seed is not None:
-        config["model"]["seed"] = args.seed
-        config["trainer"]["seed"] = args.seed
-    if args.use_li is not None:
-        config["model"]["use_lateral_inhibition"] = args.use_li == "true"
-    if args.use_adv is not None:
-        config["model"]["use_adversarial"] = args.use_adv == "true"
-    for override in args.set or []:
+                           f"{err}") from err
+        _check_layout(config, "bad config file")
+    config["train"] = [*config.get("train", []), *(args.train or [])]
+    config["dev"] = [*config.get("dev", []), *(args.dev or [])]
+    flags = {"out_dir": json.dumps(args.out) if args.out else None,
+             "trainer.epochs": args.epochs, "model.seed": args.seed,
+             "trainer.seed": args.seed, "model.use_adversarial": args.use_adv,
+             "model.use_lateral_inhibition": args.use_li}
+    for override in [f"{key}={value}" for key, value in flags.items()
+                     if value is not None] + (args.set or []):
         dotted, sep, raw = override.partition("=")
         if not sep:
-            raise CliError(f"--set needs key=value, got {override!r}",
-                           EXIT_CONFIG)
-        _set_by_path(config, dotted, raw)
-    _check_shape(config, "bad --set value")
+            raise CliError(f"--set needs key=value, got {override!r}")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        *sections, key = dotted.split(".")
+        target = config
+        for section in sections:
+            target = target.setdefault(section, {})
+            if not isinstance(target, dict):
+                raise CliError(f"--set {dotted}: {section} is not a section")
+        target[key] = value
+    _check_layout(config, "bad --set value")
     if not config["train"]:
-        raise CliError("no training files given (config 'train' or --train)",
-                       EXIT_CONFIG)
+        raise CliError("no training files given (config 'train' or --train)")
     if not config.get("out_dir"):
-        raise CliError("no output directory given (config 'out_dir' or --out)",
-                       EXIT_CONFIG)
-    return config
+        raise CliError("no output directory given (config 'out_dir' or --out)")
+    try:
+        return RunConfig(ModelConfig(**config.get("model", {})),
+                         TrainerConfig(**config.get("trainer", {})),
+                         tuple(config["train"]), tuple(config["dev"]),
+                         config["out_dir"])
+    except ValueError as err:
+        raise CliError(f"bad configuration: {err}") from err
 
 
 def _check_output_dir(out_dir: Path, force: bool) -> None:
@@ -164,16 +166,14 @@ def _check_output_dir(out_dir: Path, force: bool) -> None:
     directory with ``force``) or can be created."""
     if out_dir.exists():
         if not out_dir.is_dir():
-            raise CliError(f"output directory {out_dir} is not a directory",
-                           EXIT_CONFIG)
+            raise CliError(f"output directory {out_dir} is not a directory")
         if any(out_dir.iterdir()) and not force:
             raise CliError(
-                f"output directory {out_dir} is not empty (use --force)",
-                EXIT_CONFIG)
+                f"output directory {out_dir} is not empty (use --force)")
     for parent in out_dir.parents:
         if parent.exists() and not parent.is_dir():
             raise CliError(f"cannot create {out_dir}: {parent} is not a "
-                           f"directory", EXIT_CONFIG)
+                           f"directory")
 
 
 def _check_output_file(path: Path, force: bool) -> None:
@@ -181,11 +181,11 @@ def _check_output_file(path: Path, force: bool) -> None:
     directory exists, and it is no directory (nor, without ``force``, an
     existing file)."""
     if path.is_dir():
-        raise CliError(f"output {path} is a directory", EXIT_CONFIG)
+        raise CliError(f"output {path} is a directory")
     if path.exists() and not force:
-        raise CliError(f"output file {path} exists (use --force)", EXIT_CONFIG)
+        raise CliError(f"output file {path} exists (use --force)")
     if not path.parent.is_dir():
-        raise CliError(f"no such directory: {path.parent}", EXIT_CONFIG)
+        raise CliError(f"no such directory: {path.parent}")
 
 
 def _json_text(value) -> str:
@@ -197,29 +197,23 @@ def _write_text(path, text: str) -> None:
 
 
 def cmd_train(args) -> int:
-    config = _resolve_train_config(args)
-    out_dir = Path(config["out_dir"])
+    run = _run_config(args)
+    out_dir = Path(run.out_dir)
     _check_output_dir(out_dir, args.force)
-    try:
-        model_config = ModelConfig(**config["model"])
-        trainer_config = TrainerConfig(**config["trainer"])
-        config_text = _json_text(config)
-    except (TypeError, ValueError) as err:
-        raise CliError(f"bad configuration: {err}", EXIT_CONFIG) from err
-    train_inputs = _inputs(config["train"], need_language=True)
-    dev_inputs = _inputs(config["dev"], need_language=True)
+    train_inputs = _inputs(run.train, need_language=True)
+    dev_inputs = _inputs(run.dev, need_language=True)
     train_corpus = _load(train_inputs)
     dev_corpus = _load(dev_inputs) if dev_inputs else None
 
     try:
-        model = MweTagger.build(model_config, train_corpus)
-        report = train(model, train_corpus, dev_corpus, trainer_config)
+        model = MweTagger.build(run.model, train_corpus)
+        report = train(model, train_corpus, dev_corpus, run.trainer)
     except Exception as err:
         raise CliError(f"training failed: {err}", EXIT_TRAIN) from err
 
     # Written only now, so a failed run leaves the directory as it was.
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(out_dir / "config.json", config_text)
+    _write_text(out_dir / "config.json", _json_text(asdict(run)))
     model.save(out_dir / "checkpoint.json")
     if report.best_epoch == len(report.epochs):
         # The final state is the best one: copy its bytes, not re-encode them.
@@ -233,21 +227,21 @@ def cmd_train(args) -> int:
     _write_text(out_dir / "report.jsonl", report.to_jsonl())
     _write_text(out_dir / "summary.json", _json_text(report.summary()))
     last = report.epochs[-1]
-    print(f"trained {trainer_config.epochs} epochs; "
+    print(f"trained {run.trainer.epochs} epochs; "
           f"final tag loss {last.tag_loss:.6f}; outputs in {out_dir}")
     return EXIT_OK
 
 
 def cmd_tag(args) -> int:
     if not Path(args.checkpoint).is_file():
-        raise CliError(f"no such checkpoint: {args.checkpoint}", EXIT_CONFIG)
+        raise CliError(f"no such checkpoint: {args.checkpoint}")
     output = Path(args.output)
     _check_output_file(output, args.force)
     inputs = _inputs([args.input])
     try:
         model = MweTagger.load(args.checkpoint)
     except CheckpointError as err:
-        raise CliError(f"bad checkpoint: {err}", EXIT_CONFIG) from err
+        raise CliError(f"bad checkpoint: {err}") from err
     corpus = _load(inputs)
     predicted = predict_corpus(model, corpus)
     _write_text(output, serialize_corpus(predicted))
@@ -344,8 +338,7 @@ def _gradcheck_cases(corrupt_adjoint: bool):
 def cmd_gradcheck(args) -> int:
     h = args.step
     if not 0 < h < math.inf:
-        raise CliError(f"--step must be a finite number > 0, got {h}",
-                       EXIT_CONFIG)
+        raise CliError(f"--step must be a finite number > 0, got {h}")
     cases, layer, x_li = _gradcheck_cases(args.inject_error)
     failed = []
     for name, params, f in cases:
