@@ -447,18 +447,21 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.showwarning = _show_warning
-        try:
-            return args.func(args)
-        except CliError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return err.exit_code
-        except CuptError as err:
-            print(f"error: parse error: {err}", file=sys.stderr)
-            return EXIT_PARSE
+    """Run one command and return its exit code. The whole command, flags
+    included, runs with the cyclic collector paused (what it builds is
+    acyclic); the caller's setting is restored on every way out."""
+    with corpus_mod.collector_paused():
+        args = build_parser().parse_args(argv)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            try:
+                return args.func(args)
+            except CliError as err:
+                print(f"error: {err}", file=sys.stderr)
+                return err.exit_code
+            except CuptError as err:
+                print(f"error: parse error: {err}", file=sys.stderr)
+                return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -13,8 +13,10 @@ from __future__ import annotations
 import gc
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 CUPT_COLUMNS = ("ID", "FORM", "LEMMA", "UPOS", "XPOS", "FEATS",
                 "HEAD", "DEPREL", "DEPS", "MISC", "PARSEME:MWE")
@@ -70,14 +72,16 @@ class VmweCategory:
         return self.code
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Token:
+class Token(NamedTuple):
     """One syntactic word of a sentence (integer-id CoNLL-U row).
 
     ``columns`` is the text of the UPOS..MISC columns (4-10) exactly as
     read, inner tabs included, which mweid never interprets; ``mwe_raw``
     preserves the PARSEME:MWE field exactly as read so that serialization
     is byte-faithful even for unannotated ("_") input.
+
+    A named tuple: the parser builds one with no Python-level call, and
+    ``_replace`` makes a changed copy.
     """
 
     id: int
@@ -86,22 +90,6 @@ class Token:
     columns: str
     mwe_tags: tuple[tuple[int, VmweCategory | None], ...]
     mwe_raw: str = "*"
-
-    def __init__(self, id, form, lemma, columns, mwe_tags, mwe_raw="*"):
-        # Each slot is set once through its descriptor: frozen, yet without
-        # the generated __init__'s object.__setattr__ call per field.
-        _set_id(self, id)
-        _set_form(self, form)
-        _set_lemma(self, lemma)
-        _set_columns(self, columns)
-        _set_mwe_tags(self, mwe_tags)
-        _set_mwe_raw(self, mwe_raw)
-
-
-_set_id, _set_form, _set_lemma = (Token.id.__set__, Token.form.__set__,
-                                  Token.lemma.__set__)
-_set_columns, _set_mwe_tags, _set_mwe_raw = (
-    Token.columns.__set__, Token.mwe_tags.__set__, Token.mwe_raw.__set__)
 
 
 @dataclass(frozen=True)
@@ -253,6 +241,20 @@ def _check_mwe_rules(tokens):
     return members, categories
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector for the block, then restore the
+    caller's setting. Corpora, tape nodes, batches and reports hold no
+    cycles: reference counting frees them, and a collection finds nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _parse_block(lines, first, last, language, source, memo) -> Sentence:
     """Build one sentence from the non-blank ``lines[first:last]``; a
     CuptError names its row, or the first line for a whole-block check.
@@ -300,7 +302,9 @@ def _parse_block(lines, first, last, language, source, memo) -> Sentence:
             if parsed is None:
                 parsed = memo[mwe] = (_parse_mwe_field(mwe), mwe)
             tags, raw = parsed
-            token = Token(tok_id, form, lemma, columns, tags, raw)
+            # No Python-level call: the fields are a tuple of the right type.
+            token = tuple.__new__(Token, (tok_id, form, lemma, columns, tags,
+                                          raw))
             tokens.append(token)
             if tags:
                 annotated.append(token)
@@ -333,8 +337,8 @@ def parse_cupt(text: str, language: str | None = None,
     Sentence blocks are separated by blank lines; '#' lines are kept
     verbatim; multiword-token ranges and empty nodes are preserved but
     excluded from the token sequence. LF, CRLF and a lone CR each end a
-    line, as in a file opened in text mode. The cyclic garbage collector
-    pauses while sentences are built, so none of its work falls after.
+    line, as in a file opened in text mode. Sentences are built with the
+    cyclic garbage collector paused (see ``collector_paused``).
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -343,9 +347,7 @@ def parse_cupt(text: str, language: str | None = None,
     sentences: list[Sentence] = []
     memo: dict[str, tuple] = {}
     first = None
-    enabled = gc.isenabled()
-    gc.disable()  # a parsed corpus is acyclic: reference counting frees it
-    try:
+    with collector_paused():
         for index, line in enumerate(lines):
             if line and not line.isspace():
                 if first is None:
@@ -354,9 +356,6 @@ def parse_cupt(text: str, language: str | None = None,
                 sentences.append(_parse_block(lines, first, index, language,
                                               source, memo))
                 first = None
-    finally:
-        if enabled:
-            gc.enable()
     return Corpus(sentences=tuple(sentences))
 
 
@@ -516,8 +515,7 @@ def with_instances(sentence: Sentence, instances: list[MweInstance]) -> Sentence
             memberships = tuple(sorted(found or (), key=lambda m: m[0]))
             raw = format_mwe_field(memberships)
             if memberships != token.mwe_tags or raw != token.mwe_raw:
-                token = Token(token.id, token.form, token.lemma,
-                              token.columns, memberships, raw)
+                token = token._replace(mwe_tags=memberships, mwe_raw=raw)
                 changed = True
         tokens.append(token)
     if not changed:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, file contracts."""
 
+import gc
 import json
 
 import numpy as np
@@ -579,3 +580,75 @@ class TestAtomicWrite:
         _write_atomic(path, lambda handle: handle.write("new\n"))
         assert path.read_text() == "new\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.cupt"]
+
+
+class TestCollector:
+    """``main`` runs a command with the cyclic collector paused, which is
+    sound only while a command leaves no cyclic garbage that grows with its
+    work, and it hands the caller's collector setting back."""
+
+    @staticmethod
+    def garbage_after(argv):
+        """(exit code, unreachable objects that ``mweid <argv>`` left)."""
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()  # so that no collection runs before the count
+        try:
+            code = run([str(arg) for arg in argv])
+            return code, gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_cyclic_garbage_does_not_grow_with_work(self, tmp_path, capsys):
+        larger = tmp_path / "larger.cupt"
+        larger.write_text(open(RO, encoding="utf-8").read() * 20,
+                          encoding="utf-8")
+        pairs = {"train": [train_args(tmp_path / f"run{epochs}", epochs)
+                           for epochs in (1, 4)],
+                 "tag": [], "eval": []}
+        checkpoint = tmp_path / "run4" / "checkpoint.json"
+        for corpus in (RO, larger):
+            pred = tmp_path / f"pred_{len(pairs['tag'])}.cupt"
+            pairs["tag"].append(["tag", checkpoint, corpus, pred])
+            pairs["eval"].append(["eval", corpus, pred, "--train", f"RO={RO}"])
+        for command, calls in pairs.items():
+            (small, small_garbage), (large, large_garbage) = (
+                self.garbage_after(argv) for argv in calls)
+            assert small == large == EXIT_OK, command
+            assert small_garbage == large_garbage, command
+
+    @pytest.mark.parametrize("argv, code", [
+        (["stats", f"RO={RO}"], EXIT_OK),
+        (["stats", "{tmp}/missing.cupt"], EXIT_CONFIG),
+        (["stats", "{tmp}/broken.cupt"], EXIT_PARSE),
+        (["stats", "--no-such-flag"], SystemExit),
+        (["stats", f"RO={RO}"], RuntimeError),
+    ], ids=["ok", "config-error", "parse-error", "bad-flag", "crash"])
+    @pytest.mark.parametrize("caller_enabled", [True, False])
+    def test_callers_setting_is_restored(self, tmp_path, capsys, monkeypatch,
+                                         argv, code, caller_enabled):
+        (tmp_path / "broken.cupt").write_text("1\tonly\tthree\n")
+        stats, during = cli.corpus_mod.corpus_stats, []
+
+        def watched(corpus):
+            during.append(gc.isenabled())
+            if code is RuntimeError:
+                raise RuntimeError("a command that crashes")
+            return stats(corpus)
+
+        monkeypatch.setattr(cli.corpus_mod, "corpus_stats", watched)
+        enabled = gc.isenabled()
+        (gc.enable if caller_enabled else gc.disable)()
+        try:
+            argv = [arg.format(tmp=tmp_path) for arg in argv]
+            if isinstance(code, int):
+                assert run(argv) == code
+            else:
+                with pytest.raises(code):
+                    run(argv)
+            assert gc.isenabled() is caller_enabled
+        finally:
+            (gc.enable if enabled else gc.disable)()
+        assert not any(during)
+        assert len(during) == (code in (EXIT_OK, RuntimeError))

@@ -1,9 +1,11 @@
 """Corpus module: CUPT parsing, tag codec, merging, keys, statistics."""
 
+import copy
 import gc
 import io
+import pickle
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ class TestToken:
     def test_slotted_and_frozen(self):
         token = make_sentence(["a"]).tokens[0]
         assert not hasattr(token, "__dict__")
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             token.form = "b"
 
     def test_positional_replace_eq_and_hash_agree_with_keywords(self):
@@ -45,14 +47,45 @@ class TestToken:
                         mwe_raw="1:VID")
         positional = Token(1, "a", "a", "X", tags, "1:VID")
         assert positional == keyword and hash(positional) == hash(keyword)
-        assert replace(keyword, form="b") == Token(1, "b", "a", "X", tags,
+        assert keyword._replace(form="b") == Token(1, "b", "a", "X", tags,
                                                    "1:VID")
-        assert replace(keyword, form="b") != keyword
-        assert replace(keyword, mwe_tags=(), mwe_raw="*") \
+        assert keyword._replace(form="b") != keyword
+        assert keyword._replace(mwe_tags=(), mwe_raw="*") \
             == Token(id=1, form="a", lemma="a", columns="X", mwe_tags=())
         parsed = parse_rows([("a", "a", "1:VID")]).tokens[0]
-        expected = replace(keyword, columns="X\t_\t_\t_\t_\t_\t_")
+        expected = keyword._replace(columns="X\t_\t_\t_\t_\t_\t_")
         assert parsed == expected and hash(parsed) == hash(expected)
+
+    def test_parsed_tokens_are_tokens_built_with_keywords(self):
+        # The parser builds tokens with tuple.__new__; Token(...) is the
+        # reference path.
+        rows = [("a", "a", "1:VID"), ("b", "B", "*"), ("c", "c", "1;2:IRV"),
+                ("d", "d", "_"), ("e", "e", "2")]
+        for token in parse_rows(rows).tokens:
+            built = Token(id=token.id, form=token.form, lemma=token.lemma,
+                          columns=token.columns, mwe_tags=token.mwe_tags,
+                          mwe_raw=token.mwe_raw)
+            assert type(token) is Token
+            assert token == built and hash(token) == hash(built)
+            assert repr(token) == repr(built)
+        assert repr(Token(1, "a", "a", "X", ())) == ("Token(id=1, form='a', "
+            "lemma='a', columns='X', mwe_tags=(), mwe_raw='*')")
+
+    def test_a_token_is_the_tuple_of_its_fields(self):
+        token = parse_rows([("a", "a", "1:VID")]).tokens[0]
+        fields = (1, "a", "a", "X\t_\t_\t_\t_\t_\t_",
+                  ((1, VmweCategory("VID")),), "1:VID")
+        assert token == fields and tuple(token) == fields
+        assert Token._fields == ("id", "form", "lemma", "columns", "mwe_tags",
+                                 "mwe_raw")
+
+    def test_pickle_and_copy_round_trips(self):
+        for token in parse_rows([("a", "a", "1:VID"), ("b", "b", "1"),
+                                 ("c", "c", "_")]).tokens:
+            for twin in (pickle.loads(pickle.dumps(token)), copy.copy(token),
+                         copy.deepcopy(token)):
+                assert type(twin) is Token
+                assert twin == token and hash(twin) == hash(token)
 
     def test_tokens_of_one_parse_share_each_mwe_field(self):
         text = (cupt_text([("a", "a", "*"), ("b", "b", "1:VID")])
@@ -383,7 +416,7 @@ class TestExtract:
             drawn = (_MEMBERSHIPS[i] for i in
                      rng.integers(len(_MEMBERSHIPS), size=len(base)))
             sentences.append(replace(base, tokens=tuple(
-                replace(t, mwe_tags=tags, mwe_raw=format_mwe_field(tags))
+                t._replace(mwe_tags=tags, mwe_raw=format_mwe_field(tags))
                 for t, tags in zip(base.tokens, drawn))))
         outcomes = set()
         for sentence in sentences:
@@ -415,7 +448,7 @@ class TestExtract:
     def test_rule_error_names_the_sentence(self):
         # Built directly, so no parser checked the MWE column first.
         s = make_sentence(["a", "b"])
-        s = replace(s, tokens=tuple(replace(t, mwe_tags=((1, None),))
+        s = replace(s, tokens=tuple(t._replace(mwe_tags=((1, None),))
                                     for t in s.tokens))
         with pytest.raises(DanglingMweId, match=r"^sentence 's': MWE 1 has no "
                                                 r"category-bearing component$"):
@@ -526,8 +559,8 @@ def _with_instances_reference(sentence, instances):
     for token in sentence.tokens:
         memberships = tuple(sorted(per_token.get(token.id, ()),
                                    key=lambda m: m[0]))
-        tokens.append(replace(token, mwe_tags=memberships,
-                              mwe_raw=format_mwe_field(memberships)))
+        tokens.append(token._replace(mwe_tags=memberships,
+                                     mwe_raw=format_mwe_field(memberships)))
     return replace(sentence, tokens=tuple(tokens))
 
 
@@ -566,7 +599,7 @@ class TestRewrite:
         for index in range(300):
             s = random_sentence(rng, sent_id=f"w{index}")
             s = replace(s, tokens=tuple(
-                replace(t, mwe_raw="_") if not t.mwe_tags and rng.random() < 0.3
+                t._replace(mwe_raw="_") if not t.mwe_tags and rng.random() < 0.3
                 else t for t in s.tokens))
             drawn = [tags[i] for i in rng.integers(len(tags), size=len(s))]
             instances = extract_mwes(s) if index % 5 == 0 \
