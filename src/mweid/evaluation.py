@@ -6,12 +6,14 @@ optional and off by default. The unseen scores restrict both sides to
 instances whose lemma key never occurs as an annotated MWE in the
 training corpus. All arithmetic is kept at full precision; percentages
 are rounded half-up to two decimals only for display.
+
+``score`` counts per-sentence instance lists: those ``evaluate`` extracts,
+or training's dev gold (extracted once per run) and decoded predictions.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from .corpus import (Corpus, MweInstance, Sentence, decode_tags, extract_mwes,
@@ -55,20 +57,12 @@ class EvalResult:
 
     def as_dict(self) -> dict:
         def block(scores: Scores) -> dict:
-            return {
-                "gold": scores.gold,
-                "predicted": scores.predicted,
-                "matched": scores.matched,
-                "precision": round2(scores.precision),
-                "recall": round2(scores.recall),
-                "f1": round2(scores.f1),
-            }
+            return {**asdict(scores), "precision": round2(scores.precision),
+                    "recall": round2(scores.recall), "f1": round2(scores.f1)}
 
-        return {
-            "category_sensitive": self.category_sensitive,
-            "global": block(self.global_scores),
-            "unseen": block(self.unseen_scores),
-        }
+        return {"category_sensitive": self.category_sensitive,
+                "global": block(self.global_scores),
+                "unseen": block(self.unseen_scores)}
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -121,56 +115,61 @@ def _pair(gold_instances: list[MweInstance], pred_instances: list[MweInstance],
     return pairs
 
 
-def evaluate(gold: Corpus, pred: Corpus, train: Corpus | set,
+def score(gold: list[list[MweInstance]], predicted: list[list[MweInstance]],
+          seen: set, category_sensitive: bool = False) -> EvalResult:
+    """Count gold, predicted and matched instances over per-sentence lists.
+    The unseen side keeps the instances whose lemma key is not in ``seen``;
+    a match is unseen when its gold instance is."""
+    matched = [g for gold_instances, pred_instances in zip(gold, predicted, strict=True)
+               for g, _ in _pair(gold_instances, pred_instances, category_sensitive)]
+    gold_all = [instance for instances in gold for instance in instances]
+    pred_all = [instance for instances in predicted for instance in instances]
+
+    def unseen(instances) -> int:
+        return sum(1 for instance in instances if instance.lemma_key not in seen)
+
+    return EvalResult(
+        Scores(len(gold_all), len(pred_all), len(matched)),
+        Scores(unseen(gold_all), unseen(pred_all), unseen(matched)),
+        category_sensitive)
+
+
+def evaluate(gold: Corpus, pred: Corpus, train: Corpus,
              category_sensitive: bool = False) -> EvalResult:
     """Score a predicted corpus against gold, globally and on unseen MWEs.
 
-    ``train`` is the training corpus or its precomputed seen_lemma_keys; a
-    gold or predicted instance is counted on the unseen side exactly when
-    its lemma key is absent from the seen keys.
+    The corpora must be sentence-aligned and agree on every sentence's
+    tokens. Each sentence's instances are extracted once and counted by
+    ``score``, with the unseen side keyed by ``seen_lemma_keys(train)``.
     """
     if len(gold) != len(pred):
         raise AlignmentMismatch(
             f"gold has {len(gold)} sentences, predictions have {len(pred)}")
-    seen = train if isinstance(train, set) else seen_lemma_keys(train)
-    counts = Counter()
     for gold_sentence, pred_sentence in zip(gold, pred):
         _check_tokenization(gold_sentence, pred_sentence)
-        gold_instances = extract_mwes(gold_sentence)
-        pred_instances = extract_mwes(pred_sentence)
-        pairs = _pair(gold_instances, pred_instances, category_sensitive)
-        counts["gold"] += len(gold_instances)
-        counts["predicted"] += len(pred_instances)
-        counts["matched"] += len(pairs)
-        counts["gold_unseen"] += sum(1 for i in gold_instances
-                                     if i.lemma_key not in seen)
-        counts["predicted_unseen"] += sum(1 for i in pred_instances
-                                          if i.lemma_key not in seen)
-        counts["matched_unseen"] += sum(1 for g, _ in pairs
-                                        if g.lemma_key not in seen)
-    return EvalResult(
-        global_scores=Scores(counts["gold"], counts["predicted"],
-                             counts["matched"]),
-        unseen_scores=Scores(counts["gold_unseen"], counts["predicted_unseen"],
-                             counts["matched_unseen"]),
-        category_sensitive=category_sensitive)
+    return score([extract_mwes(s) for s in gold], [extract_mwes(s) for s in pred],
+                 seen_lemma_keys(train), category_sensitive)
 
 
-def predict_corpus(model, corpus: Corpus) -> Corpus:
-    """Tag every sentence and rewrite its MWE column from the decoder.
+def predict_instances(model, corpus: Corpus) -> list[list[MweInstance]]:
+    """Each sentence's instances, with lemma keys, decoded from its tags.
 
     The corpus is encoded once and tagged by ``model.predict_tags``; ties
     pick the lowest tag index.
     """
-    sentences = corpus.sentences
-    if not sentences:
-        return corpus
-    batch = model.extractor.encode(sentences)
+    if not corpus.sentences:
+        return []
+    batch = model.extractor.encode(corpus.sentences)
     tags = model.predict_tags(batch)
     offsets = batch.offsets.tolist()
-    return Corpus(sentences=tuple(
-        with_instances(sentence, decode_tags(tags[offsets[i]:offsets[i + 1]]))
-        for i, sentence in enumerate(sentences)))
+    return [decode_tags(tags[offsets[i]:offsets[i + 1]], sentence.lemmas())
+            for i, sentence in enumerate(corpus)]
+
+
+def predict_corpus(model, corpus: Corpus) -> Corpus:
+    """Rewrite every sentence's MWE column from ``predict_instances``."""
+    return Corpus(sentences=tuple(map(with_instances, corpus,
+                                      predict_instances(model, corpus))))
 
 
 def format_table(result: EvalResult, label: str = "model") -> str:

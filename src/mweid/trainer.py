@@ -12,7 +12,8 @@ The tag loss is the mean token-level cross-entropy over the whole
 batch; the language loss is the mean sentence-level cross-entropy. No
 momentum, weight decay, or loss weighting beyond lam is applied;
 gradient-norm clipping is available behind a flag. Fixed seeds give
-bitwise-reproducible parameters.
+bitwise-reproducible parameters. A dev corpus is scored after every
+epoch from the instances decoded from its tags.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import Corpus, Sentence, encode_tags, seen_lemma_keys
-from .evaluation import evaluate, predict_corpus
+from .corpus import Corpus, Sentence, encode_tags, extract_mwes, seen_lemma_keys
+from .evaluation import predict_instances, score
 from .model import Batch, MweTagger, check_fields
 
 SCHEDULES = ("constant", "dann_ramp")
@@ -207,8 +208,8 @@ def train(model: MweTagger, train_corpus: Corpus,
           config: TrainerConfig | None = None) -> TrainingReport:
     """Run the full training loop; deterministic under a fixed seed.
 
-    When a dev corpus is supplied, each epoch is scored with the
-    evaluation module (unseen keys taken from the training corpus) and
+    When a dev corpus is supplied, each epoch scores the instances decoded
+    from its tags against its gold instances, extracted once per run, and
     the best-global-F1 parameter snapshot is kept on the report.
     """
     config = config or TrainerConfig()
@@ -221,6 +222,7 @@ def train(model: MweTagger, train_corpus: Corpus,
     n_batches = (len(sentences) + config.batch_size - 1) // config.batch_size
     total_steps = config.epochs * n_batches
     seen = seen_lemma_keys(train_corpus) if dev_corpus is not None else None
+    dev_gold = [extract_mwes(sentence) for sentence in dev_corpus or ()]
     report = TrainingReport()
     step = 0
     for epoch in range(1, config.epochs + 1):
@@ -252,8 +254,7 @@ def train(model: MweTagger, train_corpus: Corpus,
             lang_accuracy=(lang_correct / len(sentences)
                            if model.discriminator is not None else None))
         if dev_corpus is not None:
-            result = evaluate(dev_corpus, predict_corpus(model, dev_corpus),
-                              seen)
+            result = score(dev_gold, predict_instances(model, dev_corpus), seen)
             record.dev_global_f1 = result.global_scores.f1
             record.dev_unseen_f1 = result.unseen_scores.f1
             if (report.best_dev_global_f1 is None

@@ -13,7 +13,7 @@ from mweid import model as model_mod
 from mweid.corpus import Corpus
 from mweid.evaluation import (AlignmentMismatch, EvalResult, Scores,
                               TokenizationMismatch, evaluate, f1_score,
-                              format_table, match_mwes, round2)
+                              format_table, match_mwes, round2, score)
 from mweid.model import ModelConfig, MweTagger
 from mweid.trainer import TrainerConfig, train
 from conftest import corpus_of, make_sentence, random_sentence
@@ -330,3 +330,90 @@ class TestPredictCorpus:
         monkeypatch.setattr(model_mod.FeatureExtractor, "features", tracked)
         model.predict_tags(model.extractor.encode([long]))
         assert live == [0, 0, 0]
+
+
+def orphan_tags(tags):
+    """The "I-X" tags that open an instance: no "B-X" or "I-X" before them."""
+    opened, orphans = set(), []
+    for tag in tags:
+        if tag[:2] in ("B-", "I-"):
+            if tag[:2] == "I-" and tag[2:] not in opened:
+                orphans.append(tag)
+            opened.add(tag[2:])
+    return orphans
+
+
+class TestScore:
+    """``score`` over decoded instances against the reference path: tagged
+    sentences rewritten by ``predict_corpus``, extracted again and scored
+    by ``evaluate``."""
+
+    @staticmethod
+    def untrained_model(corpus):
+        """A model whose random tags include orphan "I-" tags."""
+        return MweTagger.build(ModelConfig(seed=2), corpus)
+
+    @pytest.fixture(scope="class", params=["untrained", "trained"])
+    def model(self, request, bilingual_corpus):
+        if request.param == "trained":
+            return TestPredictCorpus.trained_model(bilingual_corpus)
+        return self.untrained_model(bilingual_corpus)
+
+    @staticmethod
+    def with_overlap(corpus):
+        """``corpus`` and a gold sentence whose second token is in two MWEs."""
+        forms = corpus.sentences[0].forms()[:4]
+        overlap = make_sentence(forms, [("VID", [1, 2, 3]), ("LVC.full", [2, 4])],
+                                sent_id="overlap", language="RO")
+        assert len(overlap.tokens[1].mwe_tags) == 2
+        return Corpus(sentences=(*corpus.sentences, overlap))
+
+    def test_hand_counted_instances(self):
+        forms = ["se", "gândi", "da", "foc"]
+        gold = [corpus_mod.extract_mwes(make_sentence(
+            forms, [("IRV", [1, 2]), ("LVC.cause", [3, 4])]))]
+        pred = [corpus_mod.extract_mwes(make_sentence(
+            forms, [("VID", [1, 2]), ("LVC.cause", [3, 4])]))]
+        seen = {("gândi", "se")}
+        assert eval_counts(score(gold, pred, seen)) == ((2, 2, 2), (1, 1, 1))
+        assert eval_counts(score(gold, pred, seen, category_sensitive=True)) \
+            == ((2, 2, 1), (1, 1, 1))
+        with pytest.raises(ValueError):
+            score(gold, [], seen)
+
+    def test_untrained_model_tags_orphans(self, bilingual_corpus):
+        model = self.untrained_model(bilingual_corpus)
+        assert any(orphan_tags(model.predict_tags(s)) for s in bilingual_corpus)
+
+    def test_instances_are_the_rewritten_sentences_extracted(
+            self, model, bilingual_corpus):
+        corpus = self.with_overlap(bilingual_corpus)
+        instances = evaluation.predict_instances(model, corpus)
+        predicted = evaluation.predict_corpus(model, corpus)
+        assert len(instances) == len(predicted) == len(corpus)
+        for index, sentence in enumerate(predicted):
+            assert instances[index] == corpus_mod.extract_mwes(sentence), index
+        keys = [i.lemma_key for sentence in instances for i in sentence]
+        assert keys and all(keys)
+
+    @pytest.mark.parametrize("category_sensitive", [False, True])
+    def test_score_is_evaluate_of_the_rewritten_corpus(
+            self, model, bilingual_corpus, ro_corpus, category_sensitive):
+        corpus = self.with_overlap(bilingual_corpus)
+        gold = [corpus_mod.extract_mwes(sentence) for sentence in corpus]
+        seen = corpus_mod.seen_lemma_keys(ro_corpus)
+        result = score(gold, evaluation.predict_instances(model, corpus), seen,
+                       category_sensitive)
+        assert result.as_dict() == evaluate(
+            corpus, evaluation.predict_corpus(model, corpus), ro_corpus,
+            category_sensitive).as_dict()
+        assert result.global_scores.predicted > 0
+        assert result.unseen_scores.gold > 0
+
+    def test_empty_corpus(self, model, ro_corpus):
+        empty = Corpus(sentences=())
+        assert evaluation.predict_instances(model, empty) == []
+        assert evaluation.predict_corpus(model, empty) == empty
+        result = score([], [], corpus_mod.seen_lemma_keys(ro_corpus))
+        assert result.as_dict() == evaluate(empty, empty, ro_corpus).as_dict()
+        assert result.global_scores == Scores(0, 0, 0)

@@ -268,6 +268,33 @@ class TestTrainLoop:
         assert all(r.dev_global_f1 is not None for r in report.epochs)
         assert len(calls) == 1
 
+    def test_dev_gold_extracted_once_per_run(self, monkeypatch):
+        calls, rewrites = [], []
+        extract, rewrite = corpus_mod.extract_mwes, corpus_mod.with_instances
+
+        def counting(sentence):
+            calls.append(sentence)
+            return extract(sentence)
+
+        def counting_rewrites(sentence, instances):
+            rewrites.append(sentence)
+            return rewrite(sentence, instances)
+
+        for module in (corpus_mod, evaluation, trainer, model_mod):
+            monkeypatch.setattr(module, "extract_mwes", counting, raising=False)
+            monkeypatch.setattr(module, "with_instances", counting_rewrites,
+                                raising=False)
+        corpus = training_corpus()
+        dev = corpus_of(*(replace(s, sent_id=f"dev{i}")
+                          for i, s in enumerate(corpus)))
+        report = train(build(corpus), corpus, dev,
+                       TrainerConfig(alpha=0.3, epochs=3, batch_size=2, seed=1))
+        assert all(r.dev_global_f1 is not None for r in report.epochs)
+        per_dev_sentence = [sum(call is sentence for call in calls)
+                            for sentence in dev]
+        assert per_dev_sentence == [1] * len(dev)
+        assert rewrites == []
+
     def test_shuffle_off_is_sequential_and_deterministic(self):
         corpus = training_corpus()
         cfg = TrainerConfig(alpha=0.2, epochs=3, batch_size=2, seed=5,
