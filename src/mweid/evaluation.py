@@ -151,25 +151,13 @@ def evaluate(gold: Corpus, pred: Corpus, train: Corpus,
                  seen_lemma_keys(train), category_sensitive)
 
 
-def predict_instances(model, corpus: Corpus) -> list[list[MweInstance]]:
-    """Each sentence's instances, with lemma keys, decoded from its tags.
-
-    The corpus is encoded once and tagged by ``model.predict_tags``; ties
-    pick the lowest tag index.
-    """
-    if not corpus.sentences:
-        return []
-    batch = model.extractor.encode(corpus.sentences)
-    tags = model.predict_tags(batch)
-    offsets = batch.offsets.tolist()
-    return [decode_tags(tags[offsets[i]:offsets[i + 1]], sentence.lemmas())
-            for i, sentence in enumerate(corpus)]
-
-
 def predict_corpus(model, corpus: Corpus) -> Corpus:
-    """Rewrite every sentence's MWE column from ``predict_instances``."""
+    """Rewrite every sentence's MWE column from its decoded tags: one encode
+    and ``model.predict_tags`` over the corpus (ties pick the lowest tag
+    index), and no lemma keys, which only scoring reads."""
+    tags = model.predict_tags(model.extractor.encode(corpus.sentences))
     return Corpus(sentences=tuple(map(with_instances, corpus,
-                                      predict_instances(model, corpus))))
+                                      map(decode_tags, tags))))
 
 
 def format_table(result: EvalResult, label: str = "model") -> str:

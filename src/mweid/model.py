@@ -201,12 +201,9 @@ class FeatureExtractor:
     def parameters(self) -> list[Parameter]:
         return [self.embedding, self.hidden_w, self.hidden_b]
 
-    def token_ids(self, sentence: Sentence) -> np.ndarray:
-        return np.array([self.vocab.get(t.form, UNK_ID) for t in sentence.tokens],
-                        dtype=np.int64)
-
     def encode(self, sentences) -> Batch:
-        """The sentences as one Batch of window-id rows."""
+        """The sentences as one Batch of window-id rows; no sentences give
+        windows of shape (0, 2w + 1) and offsets [0]."""
         offsets = np.cumsum([0] + [len(s) for s in sentences])
         # One id stream with w PAD_IDs before, between and after the
         # sentences: token i's window is the stream slice starting at
@@ -214,9 +211,10 @@ class FeatureExtractor:
         w = self.window
         starts = np.arange(offsets[-1]) \
             + w * np.repeat(np.arange(len(sentences)), np.diff(offsets))
-        stream = np.full(offsets[-1] + w * (len(sentences) + 1), PAD_ID,
-                         dtype=np.int64)
-        stream[starts + w] = np.concatenate([self.token_ids(s) for s in sentences])
+        stream = np.full(max(offsets[-1] + w * (len(sentences) + 1), 2 * w + 1),
+                         PAD_ID, dtype=np.int64)
+        get = self.vocab.get
+        stream[starts + w] = [get(t.form, UNK_ID) for s in sentences for t in s.tokens]
         return Batch(sliding_window_view(stream, 2 * w + 1)[starts], offsets)
 
     def features(self, sentence: Sentence | Batch) -> Tensor:
@@ -336,17 +334,15 @@ class MweTagger:
     def feature_parameters(self) -> list[Parameter]:
         return self.extractor.parameters()
 
-    def forward(self, sentence: Sentence | Batch,
+    def forward(self, batch: Batch,
                 lam: float | None = None) -> tuple[Tensor, Tensor | None]:
         """Tag logits [n, |tagset|] and, if adversarial, language logits.
 
-        Takes one sentence or a Batch of them: the batch's n token rows
-        pass through each layer together, and mean pooling gives one
-        language-logit row per sentence. The reversal coefficient, by
-        default ``config.lam``, shapes gradients only, not forward values.
+        The batch's n token rows pass through each layer together, and
+        mean pooling gives one language-logit row per sentence. The
+        reversal coefficient, by default ``config.lam``, shapes gradients
+        only, not forward values.
         """
-        batch = sentence if isinstance(sentence, Batch) \
-            else self.extractor.encode([sentence])
         features = self.extractor.features(batch)
         tag_logits = self.classifier.logits(features)
         lang_logits = None
@@ -356,18 +352,15 @@ class MweTagger:
                 pooled, self.config.lam if lam is None else lam)
         return tag_logits, lang_logits
 
-    def predict_tags(self, sentence: Sentence | Batch) -> list[str]:
-        """Argmax tag per token; ties pick the lowest tag index.
+    def predict_tags(self, batch: Batch) -> list[list[str]]:
+        """Each sentence's argmax tags; ties pick the lowest tag index.
 
         Runs only the extractor and the tag classifier, over at most
-        CHUNK_TOKENS token rows at a time; a Batch gives the tags of all
-        its token rows in order.
+        CHUNK_TOKENS token rows at a time.
         """
-        windows = (sentence if isinstance(sentence, Batch)
-                   else self.extractor.encode([sentence])).windows
         tag_ids = []
-        for start in range(0, len(windows), CHUNK_TOKENS):
-            rows = windows[start:start + CHUNK_TOKENS]
+        for start in range(0, len(batch), CHUNK_TOKENS):
+            rows = batch.windows[start:start + CHUNK_TOKENS]
             # A token's row already pads its sentence's edges, so a block
             # may cut through sentences; tagging never reads the offsets.
             block = Batch(rows, np.array([0, len(rows)]))
@@ -375,12 +368,14 @@ class MweTagger:
             # block's is built.
             tag_ids.extend(self.classifier.logits(self.extractor.features(block))
                            .data.argmax(axis=1).tolist())
-        return [self.tagset[i] for i in tag_ids]
+        tags = [self.tagset[i] for i in tag_ids]
+        offsets = batch.offsets.tolist()
+        return [tags[a:b] for a, b in zip(offsets, offsets[1:])]
 
     def predict_language(self, sentence: Sentence) -> str:
         if self.discriminator is None:
             raise UnknownLanguage("model has no language discriminator")
-        _, lang_logits = self.forward(sentence)
+        _, lang_logits = self.forward(self.extractor.encode([sentence]))
         return self.discriminator.languages[int(lang_logits.data.argmax())]
 
     def state_arrays(self) -> dict[str, np.ndarray]:

@@ -25,15 +25,16 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import Corpus, Sentence, encode_tags, extract_mwes, seen_lemma_keys
-from .evaluation import predict_instances, score
+from .corpus import (Corpus, Sentence, decode_tags, encode_tags, extract_mwes,
+                     seen_lemma_keys)
+from .evaluation import score
 from .model import Batch, MweTagger, check_fields
 
 SCHEDULES = ("constant", "dann_ramp")
 
 
 class EmptyBatch(ValueError):
-    """train_step received no sentences."""
+    """train_step, or train's training or dev corpus, has no sentences."""
 
 
 class TrainingDiverged(ArithmeticError):
@@ -195,11 +196,7 @@ def train_step(model: MweTagger, batch: list[Sentence] | Batch, alpha: float,
     if clip_grad is not None:
         _clip_gradients(params, clip_grad)
     for param in params:  # any other entry would get x - alpha * 0.0 == x
-        rows = param.rows
-        if rows is ad.ALL_ROWS:
-            np.subtract(param.data, alpha * param.grad, out=param.data)
-        else:
-            param.data[rows] = param.data[rows] - alpha * param.grad[rows]
+        param.data[param.rows] -= alpha * param.grad[param.rows]
     return float(loss_y.data), lang_loss, lang_correct
 
 
@@ -208,21 +205,26 @@ def train(model: MweTagger, train_corpus: Corpus,
           config: TrainerConfig | None = None) -> TrainingReport:
     """Run the full training loop; deterministic under a fixed seed.
 
-    When a dev corpus is supplied, each epoch scores the instances decoded
-    from its tags against its gold instances, extracted once per run, and
-    the best-global-F1 parameter snapshot is kept on the report.
+    When a dev corpus is supplied, it is encoded and its gold extracted
+    once per run; each epoch scores the instances decoded from its tags
+    against that gold and keeps the best-global-F1 parameters on the report.
     """
     config = config or TrainerConfig()
     sentences = list(train_corpus)
     if not sentences:
         raise EmptyBatch("training corpus is empty")
+    if dev_corpus is not None:
+        if not dev_corpus.sentences:
+            raise EmptyBatch("dev corpus is empty")
+        dev = model.extractor.encode(dev_corpus.sentences)
+        dev_lemmas = [sentence.lemmas() for sentence in dev_corpus]
+        dev_gold = [extract_mwes(sentence) for sentence in dev_corpus]
+        seen = seen_lemma_keys(train_corpus)
 
     data = encode(model, sentences)
     rng = np.random.default_rng(config.seed)
     n_batches = (len(sentences) + config.batch_size - 1) // config.batch_size
     total_steps = config.epochs * n_batches
-    seen = seen_lemma_keys(train_corpus) if dev_corpus is not None else None
-    dev_gold = [extract_mwes(sentence) for sentence in dev_corpus or ()]
     report = TrainingReport()
     step = 0
     for epoch in range(1, config.epochs + 1):
@@ -254,7 +256,8 @@ def train(model: MweTagger, train_corpus: Corpus,
             lang_accuracy=(lang_correct / len(sentences)
                            if model.discriminator is not None else None))
         if dev_corpus is not None:
-            result = score(dev_gold, predict_instances(model, dev_corpus), seen)
+            result = score(dev_gold, list(map(decode_tags, model.predict_tags(dev),
+                                              dev_lemmas)), seen)
             record.dev_global_f1 = result.global_scores.f1
             record.dev_unseen_f1 = result.unseen_scores.f1
             if (report.best_dev_global_f1 is None

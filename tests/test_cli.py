@@ -74,6 +74,16 @@ class TestTrain:
         assert "training diverged at epoch" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_dev_corpus_exits_4_and_writes_nothing(self, tmp_path,
+                                                         capsys):
+        empty = tmp_path / "empty.cupt"
+        empty.write_text("")
+        out = tmp_path / "run"
+        assert run(train_args(out, extra=["--dev", f"RO={empty}"])) \
+            == EXIT_TRAIN
+        assert "training failed: dev corpus is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_setting_is_a_config_error(self, tmp_path):
         out = tmp_path / "run"
         assert run(train_args(out, extra=["--set", "model.lam=Infinity"])) \

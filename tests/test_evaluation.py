@@ -227,7 +227,8 @@ class TestPredictCorpus:
     def one_by_one(model, corpus):
         return Corpus(sentences=tuple(
             corpus_mod.with_instances(s, corpus_mod.decode_tags(
-                model.predict_tags(s), lemmas=s.lemmas())) for s in corpus))
+                model.predict_tags(model.extractor.encode([s]))[0],
+                lemmas=s.lemmas())) for s in corpus))
 
     @staticmethod
     def trained_model(corpus):
@@ -257,7 +258,8 @@ class TestPredictCorpus:
         model = self.trained_model(bilingual_corpus)
         sentence = bilingual_corpus.sentences[0]
         expected = evaluation.predict_corpus(model, bilingual_corpus)
-        tags = model.predict_tags(sentence)
+        batch = model.extractor.encode([sentence])
+        tags = model.predict_tags(batch)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the language path ran")
@@ -265,7 +267,7 @@ class TestPredictCorpus:
         monkeypatch.setattr(model_mod.LanguageDiscriminator, "logits", refuse)
         monkeypatch.setattr(model_mod.Batch, "pooling", refuse)
         assert evaluation.predict_corpus(model, bilingual_corpus) == expected
-        assert model.predict_tags(sentence) == tags
+        assert model.predict_tags(batch) == tags
         with pytest.raises(AssertionError, match="the language path ran"):
             model.predict_language(sentence)
 
@@ -282,6 +284,20 @@ class TestPredictCorpus:
         assert evaluation.predict_corpus(model, bilingual_corpus) == expected
         with pytest.raises(AssertionError, match="surrogate slope"):
             train(model, bilingual_corpus, None, TrainerConfig(epochs=1))
+
+    def test_tagging_builds_no_lemma_key(self, bilingual_corpus, monkeypatch):
+        model = self.trained_model(bilingual_corpus)
+        keys = []
+        make_lemma_key = corpus_mod.make_lemma_key
+
+        def counting(lemmas):
+            keys.append(lemmas)
+            return make_lemma_key(lemmas)
+
+        monkeypatch.setattr(corpus_mod, "make_lemma_key", counting)
+        predicted = evaluation.predict_corpus(model, bilingual_corpus)
+        assert keys == []
+        assert any(corpus_mod.extract_mwes(s) for s in predicted)
 
     def test_block_size_does_not_change_the_tags(self, bilingual_corpus,
                                                  monkeypatch):
@@ -332,6 +348,14 @@ class TestPredictCorpus:
         assert live == [0, 0, 0]
 
 
+def decoded(model, corpus):
+    """Each sentence's instances, lemma keys included, decoded from the tags
+    of the corpus encoded once."""
+    tags = model.predict_tags(model.extractor.encode(corpus.sentences))
+    return [corpus_mod.decode_tags(sentence_tags, sentence.lemmas())
+            for sentence_tags, sentence in zip(tags, corpus, strict=True)]
+
+
 def orphan_tags(tags):
     """The "I-X" tags that open an instance: no "B-X" or "I-X" before them."""
     opened, orphans = set(), []
@@ -344,9 +368,9 @@ def orphan_tags(tags):
 
 
 class TestScore:
-    """``score`` over decoded instances against the reference path: tagged
-    sentences rewritten by ``predict_corpus``, extracted again and scored
-    by ``evaluate``."""
+    """``score`` over decoded instances (``decoded``) against the reference
+    path: tagged sentences rewritten by ``predict_corpus``, extracted again
+    and scored by ``evaluate``."""
 
     @staticmethod
     def untrained_model(corpus):
@@ -383,12 +407,13 @@ class TestScore:
 
     def test_untrained_model_tags_orphans(self, bilingual_corpus):
         model = self.untrained_model(bilingual_corpus)
-        assert any(orphan_tags(model.predict_tags(s)) for s in bilingual_corpus)
+        tags = model.predict_tags(model.extractor.encode(bilingual_corpus.sentences))
+        assert any(orphan_tags(sentence_tags) for sentence_tags in tags)
 
     def test_instances_are_the_rewritten_sentences_extracted(
             self, model, bilingual_corpus):
         corpus = self.with_overlap(bilingual_corpus)
-        instances = evaluation.predict_instances(model, corpus)
+        instances = decoded(model, corpus)
         predicted = evaluation.predict_corpus(model, corpus)
         assert len(instances) == len(predicted) == len(corpus)
         for index, sentence in enumerate(predicted):
@@ -402,8 +427,7 @@ class TestScore:
         corpus = self.with_overlap(bilingual_corpus)
         gold = [corpus_mod.extract_mwes(sentence) for sentence in corpus]
         seen = corpus_mod.seen_lemma_keys(ro_corpus)
-        result = score(gold, evaluation.predict_instances(model, corpus), seen,
-                       category_sensitive)
+        result = score(gold, decoded(model, corpus), seen, category_sensitive)
         assert result.as_dict() == evaluate(
             corpus, evaluation.predict_corpus(model, corpus), ro_corpus,
             category_sensitive).as_dict()
@@ -412,7 +436,7 @@ class TestScore:
 
     def test_empty_corpus(self, model, ro_corpus):
         empty = Corpus(sentences=())
-        assert evaluation.predict_instances(model, empty) == []
+        assert model.predict_tags(model.extractor.encode([])) == []
         assert evaluation.predict_corpus(model, empty) == empty
         result = score([], [], corpus_mod.seen_lemma_keys(ro_corpus))
         assert result.as_dict() == evaluate(empty, empty, ro_corpus).as_dict()

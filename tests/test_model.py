@@ -13,7 +13,7 @@ from mweid import model as model_mod
 from mweid.model import (JSON_CHUNK, Batch, CheckpointError, ModelConfig,
                          MweTagger, PAD_ID, UNK_ID, UnknownLanguage,
                          build_tagset, build_vocab)
-from conftest import bits, corpus_of, make_sentence
+from conftest import bits, corpus_of, make_sentence, random_sentence
 
 
 def small_config(**overrides):
@@ -131,7 +131,7 @@ class TestFeatures:
 
     def test_unknown_forms_map_to_unk(self, tiny_corpus):
         model = MweTagger.build(small_config(), tiny_corpus)
-        ids = model.extractor.token_ids(make_sentence(["neverseen"]))
+        ids = model.extractor.encode([make_sentence(["neverseen"])]).windows[:, 1]
         assert ids.tolist() == [UNK_ID]
 
 
@@ -139,8 +139,9 @@ class TestForward:
     def test_lambda_does_not_change_forward_values(self, tiny_corpus):
         model = MweTagger.build(small_config(), tiny_corpus)
         s = tiny_corpus.sentences[0]
-        tags0, langs0 = model.forward(s, lam=0.0)
-        tags5, langs5 = model.forward(s, lam=5.0)
+        batch = model.extractor.encode([s])
+        tags0, langs0 = model.forward(batch, lam=0.0)
+        tags5, langs5 = model.forward(batch, lam=5.0)
         assert np.array_equal(tags0.data, tags5.data)
         assert np.array_equal(langs0.data, langs5.data)
 
@@ -150,7 +151,7 @@ class TestForward:
         for _ in range(20):
             n = int(rng.integers(1, 9))
             s = make_sentence([f"w{rng.integers(5)}" for _ in range(n)])
-            tag_logits, lang_logits = model.forward(s)
+            tag_logits, lang_logits = model.forward(model.extractor.encode([s]))
             assert tag_logits.shape == (n, len(model.tagset))
             assert lang_logits.shape == (1, 2)
 
@@ -161,11 +162,11 @@ class TestForward:
                               use_adversarial=False)
         model = MweTagger.build(config, tiny_corpus)
         s = tiny_corpus.sentences[1]
-        tag_logits, lang_logits = model.forward(s)
+        tag_logits, lang_logits = model.forward(model.extractor.encode([s]))
         assert lang_logits is None
 
         emb = model.extractor.embedding.data
-        ids = model.extractor.token_ids(s)
+        ids = np.array([model.extractor.vocab.get(t.form, UNK_ID) for t in s.tokens])
         padded = np.concatenate([[PAD_ID], ids, [PAD_ID]])
         window = np.concatenate([emb[padded[i:i + len(ids)]]
                                  for i in range(3)], axis=1)
@@ -202,12 +203,13 @@ class TestPredict:
     def test_deterministic(self, tiny_corpus):
         model = MweTagger.build(small_config(), tiny_corpus)
         s = tiny_corpus.sentences[0]
-        assert model.predict_tags(s) == model.predict_tags(s)
+        batch = model.extractor.encode([s])
+        assert model.predict_tags(batch) == model.predict_tags(batch)
 
     def test_output_length(self, tiny_corpus):
         model = MweTagger.build(small_config(), tiny_corpus)
         s = make_sentence(["a", "b", "c", "d"])
-        assert len(model.predict_tags(s)) == 4
+        assert len(model.predict_tags(model.extractor.encode([s]))[0]) == 4
 
     def test_tie_breaks_to_lowest_index(self, tiny_corpus):
         model = MweTagger.build(small_config(), tiny_corpus)
@@ -216,7 +218,24 @@ class TestPredict:
             model.classifier.head_w.data)
         model.classifier.head_b.data = np.zeros_like(
             model.classifier.head_b.data)
-        assert model.predict_tags(make_sentence(["ana", "are"])) == ["O", "O"]
+        batch = model.extractor.encode([make_sentence(["ana", "are"])])
+        assert model.predict_tags(batch) == [["O", "O"]]
+
+    def test_tags_per_sentence_match_each_sentence_alone(self):
+        rng = np.random.default_rng(8)
+        sentences = [random_sentence(rng, sent_id=f"r{i}") for i in range(150)]
+        model = MweTagger.build(small_config(), corpus_of(*sentences))
+        for param in model.parameters():
+            param.data[...] = rng.uniform(-1, 1, param.shape)
+        batch = model.extractor.encode(sentences)
+        offsets = batch.offsets.tolist()
+        block = model_mod.CHUNK_TOKENS
+        assert any(a < block < b for a, b in zip(offsets, offsets[1:]))
+        tags = model.predict_tags(batch)
+        assert [len(t) for t in tags] == [len(s) for s in sentences]
+        assert tags == [model.predict_tags(model.extractor.encode([s]))[0]
+                        for s in sentences]
+        assert len({tag for sentence_tags in tags for tag in sentence_tags}) > 1
 
     def test_unknown_language_raises(self, tiny_corpus):
         model = MweTagger.build(small_config(), tiny_corpus)
@@ -232,8 +251,9 @@ class TestCheckpoint:
         model.save(path)
         clone = MweTagger.load(path)
         for s in tiny_corpus:
-            original, _ = model.forward(s)
-            reloaded, _ = clone.forward(s)
+            batch = model.extractor.encode([s])
+            original, _ = model.forward(batch)
+            reloaded, _ = clone.forward(batch)
             assert np.array_equal(original.data, reloaded.data)
 
     def test_save_is_deterministic(self, tiny_corpus, tmp_path):
@@ -296,7 +316,8 @@ class TestCheckpoint:
         if use_adv:
             assert clone.discriminator.languages == model.discriminator.languages
         for s in tiny_corpus:
-            for original, reloaded in zip(model.forward(s), clone.forward(s)):
+            batch = model.extractor.encode([s])
+            for original, reloaded in zip(model.forward(batch), clone.forward(batch)):
                 if original is None:
                     assert reloaded is None
                 else:
@@ -486,11 +507,20 @@ class TestBatch:
         assert batch.offsets.tolist() == [0, 1, 4, 8] and len(batch) == 8
         rows = []
         for s in sentences:
-            ids = model.extractor.token_ids(s)
+            ids = [model.extractor.vocab.get(t.form, UNK_ID) for t in s.tokens]
             padded = np.concatenate([[PAD_ID] * window, ids, [PAD_ID] * window])
             rows += [padded[i:i + 2 * window + 1] for i in range(len(ids))]
         assert batch.windows.dtype == np.int64
         assert np.array_equal(batch.windows, rows)
+
+    @pytest.mark.parametrize("window", [0, 1, 2])
+    def test_no_sentences_give_no_rows(self, tiny_corpus, window):
+        model = MweTagger.build(small_config(window=window), tiny_corpus)
+        batch = model.extractor.encode([])
+        assert batch.windows.shape == (0, 2 * window + 1)
+        assert batch.windows.dtype == np.int64
+        assert batch.offsets.tolist() == [0] and len(batch) == 0
+        assert model.predict_tags(batch) == []
 
     def test_select_and_pooling(self, tiny_corpus):
         model = MweTagger.build(small_config(), tiny_corpus)
@@ -545,7 +575,7 @@ class TestBatch:
             model.extractor.encode(sentences))
         start = 0
         for row, s in enumerate(sentences):
-            tags, langs = model.forward(s)
+            tags, langs = model.forward(model.extractor.encode([s]))
             np.testing.assert_allclose(tag_logits.data[start:start + len(s)],
                                        tags.data, rtol=0, atol=1e-12)
             np.testing.assert_allclose(lang_logits.data[row:row + 1],

@@ -12,7 +12,8 @@ from mweid import corpus as corpus_mod
 from mweid import evaluation, trainer
 from mweid import model as model_mod
 from mweid.corpus import Corpus
-from mweid.model import PAD_ID, ModelConfig, MweTagger, UnknownLanguage
+from mweid.model import (PAD_ID, UNK_ID, ModelConfig, MweTagger,
+                         UnknownLanguage)
 from mweid.trainer import (EmptyBatch, TrainerConfig, TrainingDiverged,
                            gold_tag_ids, lambda_at, train, train_step)
 from conftest import (bits, corpus_of, dense_lookup, make_sentence,
@@ -113,17 +114,18 @@ class TestTrainStep:
         corpus = training_corpus()
         model = build(corpus)
         s = corpus.sentences[0]
+        batch = model.extractor.encode([s])
         params = model.parameters()
 
         ad.zero_grads(params)
-        tag_logits, lang_logits = model.forward(s, lam=1.0)
+        tag_logits, lang_logits = model.forward(batch, lam=1.0)
         ad.backward(ad.softmax_cross_entropy(tag_logits,
                                              gold_tag_ids(model, s)))
         for p in model.discriminator.parameters():
             assert np.array_equal(p.grad, np.zeros_like(p.grad)), p.name
 
         ad.zero_grads(params)
-        tag_logits, lang_logits = model.forward(s, lam=1.0)
+        tag_logits, lang_logits = model.forward(batch, lam=1.0)
         lang_id = model.discriminator.language_id(s.language)
         ad.backward(ad.softmax_cross_entropy(lang_logits, [lang_id]))
         for p in model.classifier.parameters():
@@ -233,6 +235,19 @@ class TestTrainLoop:
         with pytest.raises(EmptyBatch):
             train(model, Corpus(sentences=()), None, TrainerConfig(epochs=1))
 
+    def test_empty_dev_corpus_rejected_before_the_first_step(self, monkeypatch):
+        corpus = training_corpus()
+        model = build(corpus)
+        before = {name: array.copy() for name, array in model.state_arrays().items()}
+        steps = []
+        monkeypatch.setattr(trainer, "train_step",
+                            lambda *args, **kwargs: steps.append(args))
+        with pytest.raises(EmptyBatch, match="^dev corpus is empty$"):
+            train(model, corpus, Corpus(sentences=()), TrainerConfig(epochs=1))
+        assert steps == []
+        for name, array in model.state_arrays().items():
+            assert np.array_equal(array, before[name]), name
+
     def test_report_one_record_per_epoch(self):
         corpus = training_corpus()
         model = build(corpus)
@@ -295,6 +310,39 @@ class TestTrainLoop:
         assert per_dev_sentence == [1] * len(dev)
         assert rewrites == []
 
+    def test_dev_encoded_once_per_run(self, monkeypatch):
+        encoded = []
+        original = model_mod.FeatureExtractor.encode
+
+        def counting(extractor, sentences):
+            encoded.append(list(sentences))
+            return original(extractor, sentences)
+
+        monkeypatch.setattr(model_mod.FeatureExtractor, "encode", counting)
+        corpus = training_corpus()
+        dev = corpus_of(*(replace(s, sent_id=f"dev{i}")
+                          for i, s in enumerate(corpus)))
+        report = train(build(corpus), corpus, dev,
+                       TrainerConfig(alpha=0.3, epochs=3, batch_size=2, seed=1))
+        assert all(r.dev_global_f1 is not None for r in report.epochs)
+        assert sum(sentences == list(dev) for sentences in encoded) == 1
+
+    def test_dev_scores_are_evaluate_of_the_tagged_dev_corpus(self):
+        rng = np.random.default_rng(7)
+        corpus, dev = (corpus_of(*[random_sentence(rng, sent_id=f"{side}{i}")
+                                   for i in range(30)], language="RO")
+                       for side in ("t", "d"))
+        model = MweTagger.build(ModelConfig(seed=3), corpus)
+        for param in model.parameters():  # random tags, some of them right
+            param.data[...] = rng.uniform(-0.5, 0.5, param.shape)
+        report = train(model, corpus, dev,
+                       TrainerConfig(alpha=0.01, epochs=2, batch_size=4, seed=3))
+        result = evaluation.evaluate(dev, evaluation.predict_corpus(model, dev),
+                                     corpus)
+        last = report.epochs[-1]
+        assert last.dev_global_f1 == result.global_scores.f1 > 0
+        assert last.dev_unseen_f1 == result.unseen_scores.f1 > 0
+
     def test_shuffle_off_is_sequential_and_deterministic(self):
         corpus = training_corpus()
         cfg = TrainerConfig(alpha=0.2, epochs=3, batch_size=2, seed=5,
@@ -352,7 +400,7 @@ def test_tags_encoded_once_per_run(monkeypatch):
 # --------------------------------------------------------------------------
 
 def _reference_features(extractor, sentence):
-    ids = extractor.token_ids(sentence)
+    ids = [extractor.vocab.get(t.form, UNK_ID) for t in sentence.tokens]
     w, n = extractor.window, len(ids)
     padded = np.concatenate([[PAD_ID] * w, ids, [PAD_ID] * w]).astype(np.int64)
     slices = [ad.embedding_lookup(extractor.embedding, padded[k:k + n])
