@@ -19,6 +19,7 @@ extractor/classifier initial weights.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -42,7 +43,9 @@ _RESERVED = ("<pad>", "<unk>")
 CHUNK_TOKENS = 512
 
 CHECKPOINT_FORMAT = "mweid-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# Float64 values per base64 string of a version-2 parameter's "data" list.
+CHUNK_VALUES = 4096
 
 
 class UnknownLanguage(ValueError):
@@ -391,13 +394,18 @@ class MweTagger:
             param.data[...] = value
 
     def save(self, path) -> None:
-        """Write a versioned JSON checkpoint, atomically.
+        """Write a version-2 JSON checkpoint, atomically.
 
-        Floats are serialized via repr, which round-trips float64
-        exactly: reloading reproduces predictions bitwise. A non-finite
-        parameter raises ValueError and leaves ``path`` as it was.
+        Each parameter's values are stored as their exact little-endian
+        float64 bytes, so reloading reproduces predictions bitwise. A
+        non-finite parameter raises ValueError naming it before any file
+        is opened, so ``path`` is left as it was.
         """
-        payload = {
+        params = self.parameters()
+        for p in params:
+            if not np.isfinite(p.data).all():
+                raise ValueError(f"parameter {p.name} has non-finite values")
+        text = json.dumps({
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
@@ -405,26 +413,21 @@ class MweTagger:
             "tagset": self.tagset,
             "languages": (self.discriminator.languages
                           if self.discriminator is not None else []),
-            "parameters": {
-                p.name: {"shape": list(p.data.shape),
-                         "data": p.data.reshape(-1)}
-                for p in self.parameters()
-            },
-        }
-
-        def write(handle):
-            _dump_json(payload, handle)
-            handle.write("\n")
-
-        _write_atomic(path, write)
+            "parameters": {p.name: {"shape": list(p.data.shape),
+                                    "data": _base64_chunks(p.data)}
+                           for p in params},
+        }, allow_nan=False)
+        _write_atomic(path, lambda handle: handle.write(text + "\n"))
 
     @classmethod
     def load(cls, path) -> "MweTagger":
-        """Read a checkpoint written by ``save``; CheckpointError if invalid.
+        """Read a version-1 or version-2 checkpoint; CheckpointError if invalid.
 
         Checked: format and version, the config, duplicate-free
         inventories, the tagset's layout, and exactly the wired parameters
-        with their wired shapes and finite values.
+        with their wired shapes and finite values. Version 1 stores each
+        parameter's values as a list of numbers; version 2 as a list of
+        base64 strings whose decoded bytes, joined, are ``<f8`` values.
         """
         try:
             with open(path, encoding="utf-8") as handle:
@@ -434,9 +437,9 @@ class MweTagger:
         if not isinstance(payload, dict) \
                 or payload.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-        if payload.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {payload.get('version')}")
+        version = payload.get("version")
+        if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+            raise CheckpointError(f"unsupported checkpoint version {version}")
         try:
             config = ModelConfig(**payload.get("config"))
         except (TypeError, ValueError) as err:
@@ -450,38 +453,33 @@ class MweTagger:
         if not isinstance(stored, dict):
             raise CheckpointError("parameters must be an object")
         model = cls._wire(config, {form: i for i, form in enumerate(vocab)},
-                          tagset, languages, _stored_source(stored))
+                          tagset, languages, _stored_source(stored, version))
         unexpected = stored.keys() - model.state_arrays().keys()
         if unexpected:
             raise CheckpointError(f"unexpected parameters {sorted(unexpected)}")
         return model
 
 
-JSON_CHUNK = 4096
+def _base64_chunks(data: np.ndarray) -> list[str]:
+    """The ``<f8`` bytes of ``data`` in C order, as base64 strings of at
+    most CHUNK_VALUES values each."""
+    flat = np.ascontiguousarray(data, dtype="<f8").reshape(-1)
+    return [base64.b64encode(flat[start:start + CHUNK_VALUES]).decode("ascii")
+            for start in range(0, len(flat), CHUNK_VALUES)]
 
 
-def _dump_json(value, handle) -> None:
-    """Write the same text as ``json.dump(value, handle, allow_nan=False)``,
-    with each list or float array encoded by the C encoder in chunks of at
-    most ``JSON_CHUNK`` items, so no write holds a whole large array."""
-    if isinstance(value, dict):
-        handle.write("{")
-        for i, (key, item) in enumerate(value.items()):
-            handle.write(f"{', ' if i else ''}{json.dumps(key)}: ")
-            _dump_json(item, handle)
-        handle.write("}")
-    elif isinstance(value, (list, np.ndarray)):
-        handle.write("[")
-        for start in range(0, len(value), JSON_CHUNK):
-            chunk = value[start:start + JSON_CHUNK]
-            if isinstance(chunk, np.ndarray):
-                chunk = chunk.tolist()
-            if start:
-                handle.write(", ")
-            handle.write(json.dumps(chunk, allow_nan=False)[1:-1])
-        handle.write("]")
-    else:
-        handle.write(json.dumps(value, allow_nan=False))
+def _stored_values(data, version: int) -> np.ndarray:
+    """A parameter's stored "data" as a flat float64 array; TypeError or
+    ValueError if it is not the list its version writes."""
+    if version == 1:
+        if not isinstance(data, list) \
+                or not all(type(x) in (int, float) for x in data):
+            raise TypeError("version-1 data must be a list of numbers")
+        return np.array(data, dtype=np.float64)
+    if not isinstance(data, list) or not all(type(x) is str for x in data):
+        raise TypeError("version-2 data must be a list of base64 strings")
+    raw = b"".join(base64.b64decode(chunk, validate=True) for chunk in data)
+    return np.frombuffer(raw, dtype="<f8")
 
 
 def _inventory(payload: dict, key: str) -> list[str]:
@@ -506,14 +504,14 @@ def _check_tagset(tagset: list[str]) -> None:
                               f"category c in sorted order, got {tagset}")
 
 
-def _stored_source(stored: dict):
+def _stored_source(stored: dict, version: int):
     """Parameter source for ``MweTagger._wire`` that reads a checkpoint."""
 
     def param(name, shape, fill=None):
         try:
             saved_shape = tuple(stored[name]["shape"])
-            data = np.array(stored[name]["data"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as err:
+            data = _stored_values(stored[name]["data"], version)
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise CheckpointError(
                 f"parameter {name} is missing or malformed: {err!r}") from err
         if saved_shape != shape or data.shape != (math.prod(shape),):

@@ -424,6 +424,20 @@ class TestTag:
             in capsys.readouterr().err
         assert not out.exists()
 
+    def test_checkpoint_with_invalid_base64_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        corpus = merge_corpora([(parse_cupt_file(RO), "RO")])
+        MweTagger.build(ModelConfig(), corpus).save(path)
+        payload = json.loads(path.read_text())
+        data = payload["parameters"]["extractor.embedding"]["data"]
+        data[-1] = data[-1][:-4] + "!!!!"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "p.cupt"
+        assert run(["tag", str(path), RO, str(out)]) == EXIT_CONFIG
+        assert "error: bad checkpoint: parameter extractor.embedding is " \
+            "missing or malformed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_gold_vs_gold_and_report(self, tmp_path, capsys):

@@ -1,16 +1,19 @@
 """Model assembly: features, forward paths, prediction, checkpoints."""
 
+import base64
 import inspect
 import io
 import json
 import math
+import struct
+import tracemalloc
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from mweid import model as model_mod
-from mweid.model import (JSON_CHUNK, Batch, CheckpointError, ModelConfig,
+from mweid.model import (CHUNK_VALUES, Batch, CheckpointError, ModelConfig,
                          MweTagger, PAD_ID, UNK_ID, UnknownLanguage,
                          build_tagset, build_vocab)
 from conftest import bits, corpus_of, make_sentence, random_sentence
@@ -324,6 +327,14 @@ class TestCheckpoint:
                     assert np.array_equal(original.data, reloaded.data)
 
 
+def _as_numbers(payload):
+    """``payload`` with each parameter's values as a list of numbers."""
+    for entry in payload["parameters"].values():
+        raw = b"".join(base64.b64decode(chunk) for chunk in entry["data"])
+        entry["data"] = list(struct.unpack(f"<{len(raw) // 8}d", raw))
+    return payload
+
+
 def _drop_param(payload):
     del payload["parameters"]["classifier.head_b"]
     return payload
@@ -410,6 +421,17 @@ def _unsorted_tagset(payload):
     return payload
 
 
+def _string_values(payload):
+    data = payload["parameters"]["classifier.head_b"]["data"]
+    data[0] = repr(data[0])
+    return payload
+
+
+def _huge_integer(payload):
+    payload["parameters"]["classifier.head_b"]["data"][0] = 10 ** 400
+    return payload
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_param, "classifier.head_b is missing"),
     (_extra_param, "unexpected parameters"),
@@ -429,11 +451,96 @@ def _unsorted_tagset(payload):
     (_bad_prefix_tagset, "tagset must be 'O', then B-c, I-c"),
     (_tab_code_tagset, r"tagset: invalid MWE category code: 'IRV\\tx'"),
     (_unsorted_tagset, "in sorted order"),
+    (_string_values, "version-1 data must be a list of numbers"),
+    (_huge_integer, "classifier.head_b is missing or malformed"),
 ])
 def test_corrupted_checkpoint_rejected(tiny_corpus, tmp_path, corrupt, message):
     path = tmp_path / "model.json"
     MweTagger.build(small_config(), tiny_corpus).save(path)
-    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    intact = _as_numbers(json.loads(path.read_text()))
+    intact["version"] = 1
+    path.write_text(json.dumps(intact))
+    MweTagger.load(path)
+    path.write_text(json.dumps(corrupt(intact)))
+    with pytest.raises(CheckpointError, match=message):
+        MweTagger.load(path)
+
+
+def _head_w(edit):
+    """Corrupt classifier.head_w, 30 values (240 bytes) in one chunk, by
+    ``edit(data)``, ``data`` its list of chunks."""
+    def corrupt(payload):
+        edit(payload["parameters"]["classifier.head_w"]["data"])
+        return payload
+    return corrupt
+
+
+def _bytes(edit):
+    """``_head_w`` editing the decoded bytes of the first chunk."""
+    def chunk(data):
+        data[0] = base64.b64encode(edit(base64.b64decode(data[0]))).decode()
+    return _head_w(chunk)
+
+
+def _version(number):
+    def corrupt(payload):
+        payload["version"] = number
+        return payload
+    return corrupt
+
+
+def _replace(data, value):
+    data[0] = value
+
+
+def _f8(value):
+    return struct.pack("<d", value)
+
+
+NOT_STRINGS = "version-2 data must be a list of base64 strings"
+SHAPE = r" values of shape \(6, 5\) do not match model shape"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(_head_w(lambda data: _replace(data, 0.5)), NOT_STRINGS,
+                 id="number-chunk"),
+    pytest.param(_head_w(lambda data: _replace(data, data[:1])), NOT_STRINGS,
+                 id="list-chunk"),
+    pytest.param(_as_numbers, NOT_STRINGS, id="numbers-in-version-2"),
+    pytest.param(_head_w(lambda data: _replace(data, "*" + data[0][1:])),
+                 "head_w is missing or malformed.*Only base64 data",
+                 id="invalid-base64"),
+    pytest.param(_head_w(lambda data: _replace(data, data[0][:-1])),
+                 "head_w is missing or malformed.*padding",
+                 id="truncated-base64"),
+    pytest.param(_bytes(lambda raw: raw[:-8]), "29" + SHAPE,
+                 id="one-value-short"),
+    pytest.param(_bytes(lambda raw: raw + _f8(0.25)), "31" + SHAPE,
+                 id="one-value-long"),
+    pytest.param(_head_w(list.clear), "0" + SHAPE, id="no-chunks"),
+    pytest.param(_bytes(lambda raw: raw + b"\0\0\0"),
+                 "head_w is missing or malformed.*multiple of element size",
+                 id="partial-value"),
+    pytest.param(_bytes(lambda raw: _f8(math.nan) + raw[8:]),
+                 "head_w has non-finite values", id="nan"),
+    pytest.param(_bytes(lambda raw: raw[:-8] + _f8(-math.inf)),
+                 "head_w has non-finite values", id="inf"),
+    pytest.param(_version(1), "version-1 data must be a list of numbers",
+                 id="strings-in-version-1"),
+    pytest.param(_version(3), "unsupported checkpoint version 3",
+                 id="version-3"),
+    pytest.param(_version(True), "unsupported checkpoint version True",
+                 id="version-true"),
+    pytest.param(_version(2.0), "unsupported checkpoint version 2.0",
+                 id="version-2.0"),
+])
+def test_corrupted_v2_checkpoint_rejected(tiny_corpus, tmp_path, corrupt,
+                                          message):
+    path = tmp_path / "model.json"
+    MweTagger.build(small_config(), tiny_corpus).save(path)
+    payload = json.loads(path.read_text())
+    assert payload["version"] == 2
+    path.write_text(json.dumps(corrupt(payload)))
     with pytest.raises(CheckpointError, match=message):
         MweTagger.load(path)
 
@@ -443,58 +550,76 @@ def test_failed_save_keeps_previous_checkpoint(tiny_corpus, tmp_path):
     model = MweTagger.build(small_config(), tiny_corpus)
     model.save(path)
     before = path.read_bytes()
-    # save streams the parameters in order and stops at the NaN, midway
-    # through the file.
+    # base64 would encode the NaN without complaint, so save checks every
+    # parameter, this last one too, before it opens a file.
     model.discriminator.b2.data[0] = math.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="parameter discriminator.b2 has "
+                                         "non-finite values"):
         model.save(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
+SPECIAL = [-0.0, 5e-324, 1e16, 0.1, -1.5e-300, 123456789.0]
+
+
 def _large_model():
-    """A model whose vocab and embedding table span several JSON chunks,
-    with floats whose text is easy to get wrong."""
+    """A model whose vocab and embedding table span several chunks, with
+    floats whose bits are easy to get wrong."""
     forms = ["gândi", "ŝ\u2028\"x\\"] \
-        + [f"w{i}" for i in range(JSON_CHUNK + 900)]
+        + [f"w{i}" for i in range(CHUNK_VALUES + 900)]
     model = MweTagger.build(small_config(embedding_dim=16), corpus_of(
         make_sentence(forms, [("VID", [1, 2])], language="RO")))
-    special = [-0.0, 5e-324, 1e16, 0.1, -1.5e-300, 123456789.0]
-    model.extractor.embedding.data[2, :len(special)] = special
+    model.extractor.embedding.data[2, :len(SPECIAL)] = SPECIAL
     model.classifier.head_b.data[:2] = [-0.0, 1e16]
     return model
 
 
-def test_save_writes_the_bytes_of_json_dump(tmp_path):
+def test_save_writes_exact_float64_bytes_in_chunks(tmp_path):
     model = _large_model()
-    assert len(model.extractor.vocab) > JSON_CHUNK
-    model.save(tmp_path / "model.json")
+    path = tmp_path / "model.json"
+    model.save(path)
+
+    def chunks(values):
+        values = values.reshape(-1).tolist()
+        return [base64.b64encode(struct.pack(
+                    f"<{len(values[i:i + CHUNK_VALUES])}d",
+                    *values[i:i + CHUNK_VALUES])).decode("ascii")
+                for i in range(0, len(values), CHUNK_VALUES)]
+
     payload = {
-        "format": "mweid-checkpoint", "version": 1,
+        "format": "mweid-checkpoint", "version": 2,
         "config": asdict(model.config),
         "vocab": list(model.extractor.vocab), "tagset": model.tagset,
         "languages": model.discriminator.languages,
-        "parameters": {p.name: {"shape": list(p.shape),
-                                "data": p.data.reshape(-1).tolist()}
+        "parameters": {p.name: {"shape": list(p.shape), "data": chunks(p.data)}
                        for p in model.parameters()}}
     want = io.StringIO()
     json.dump(payload, want, allow_nan=False)
-    assert (tmp_path / "model.json").read_bytes() \
-        == (want.getvalue() + "\n").encode("utf-8")
+    assert path.read_bytes() == (want.getvalue() + "\n").encode("utf-8")
+    embedding = payload["parameters"]["extractor.embedding"]["data"]
+    assert len(embedding) == math.ceil(
+        model.extractor.embedding.data.size / CHUNK_VALUES) > 2
+    assert {len(chunk) for chunk in embedding[:-1]} \
+        == {len(chunks(np.zeros(CHUNK_VALUES))[0])}
+
+    clone = MweTagger.load(path)
+    assert np.array_equal(bits(clone.extractor.embedding.data[2, :len(SPECIAL)]),
+                          bits(np.array(SPECIAL)))
+    for original, reloaded in zip(model.parameters(), clone.parameters()):
+        assert np.array_equal(bits(original.data), bits(reloaded.data))
 
 
-def test_save_writes_a_large_model_in_bounded_pieces(tmp_path, monkeypatch):
-    writes = []
-
-    class Recorder:
-        def write(self, text):
-            writes.append(len(text))
-
-    monkeypatch.setattr(model_mod, "_write_atomic",
-                        lambda path, write: write(Recorder()))
-    _large_model().save(tmp_path / "model.json")
-    bound = 32 * JSON_CHUNK
-    assert max(writes) <= bound < sum(writes) / 10
+def test_save_peak_memory_is_bounded_by_the_checkpoint_size(tmp_path):
+    model = _large_model()
+    path = tmp_path / "model.json"
+    tracemalloc.start()
+    try:
+        model.save(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * path.stat().st_size, (peak, path.stat().st_size)
 
 
 class TestBatch:
