@@ -268,9 +268,10 @@ def _gradcheck_cases(corrupt_adjoint: bool):
     """Small fixed networks, one per checked operation.
 
     Every case is a deterministic scalar function of its parameters.
-    The hard-step case is a negative control: a true Heaviside has an
-    almost-everywhere-zero derivative, so its surrogate gradient *must*
-    disagree with finite differences of the hard forward pass.
+    The LI layer and its input are returned too, for the hard-step
+    negative control: a true Heaviside has an almost-everywhere-zero
+    derivative, so its surrogate gradient *must* disagree with finite
+    differences of the hard forward pass.
     """
     rng = np.random.default_rng(12345)
 
@@ -340,24 +341,21 @@ def cmd_gradcheck(args) -> int:
     if not 0 < h < math.inf:
         raise CliError(f"--step must be a finite number > 0, got {h}")
     cases, layer, x_li = _gradcheck_cases(args.inject_error)
+    # Each row carries whether it must fail. The last is a negative control,
+    # never counted among the operations: finite differences of the
+    # hard-gated layer cannot reproduce the surrogate gradient.
+    rows = [(*case, False) for case in cases]
+    rows.append(("hard_heaviside_control", layer.parameters(),
+                 lambda: ad.sum_all(layer.forward(x_li)), True))
     failed = []
-    for name, params, f in cases:
+    for name, params, f, must_fail in rows:
         error = ad.finite_difference_check(f, params, h=h)
-        status = "ok" if error < GRADCHECK_THRESHOLD else "FAIL"
-        if error >= GRADCHECK_THRESHOLD:
-            failed.append(name)
+        if (error < GRADCHECK_THRESHOLD) != must_fail:
+            status = "expected-fail (ok)" if must_fail else "ok"
+        else:
+            status = "UNEXPECTED-PASS" if must_fail else "FAIL"
+            failed.append(f"{name}(unexpected pass)" if must_fail else name)
         print(f"{name:<28} max relative error {error:.3e}  {status}")
-
-    # Negative control, reported but never counted: finite differences of
-    # the hard-gated layer cannot reproduce the surrogate gradient.
-    control_error = ad.finite_difference_check(
-        lambda: ad.sum_all(layer.forward(x_li)), layer.parameters(), h=h)
-    control_status = ("expected-fail (ok)" if control_error >= GRADCHECK_THRESHOLD
-                      else "UNEXPECTED-PASS")
-    print(f"{'hard_heaviside_control':<28} max relative error "
-          f"{control_error:.3e}  {control_status}")
-    if control_error < GRADCHECK_THRESHOLD:
-        failed.append("hard_heaviside_control(unexpected pass)")
 
     if failed:
         print(f"gradient check FAILED: {', '.join(failed)}")

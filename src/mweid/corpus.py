@@ -255,81 +255,6 @@ def collector_paused():
             gc.enable()
 
 
-def _parse_block(lines, first, last, language, source, memo) -> Sentence:
-    """Build one sentence from the non-blank ``lines[first:last]``; a
-    CuptError names its row, or the first line for a whole-block check.
-
-    ``memo`` maps each MWE field already read in this parse to its
-    memberships and the field itself, which tokens then share.
-    """
-    comments: list[str] = []
-    tokens: list[Token] = []
-    annotated: list[Token] = []
-    extra_rows: list[tuple[int, str]] = []
-    in_order = True
-    block_check = False
-    try:
-        for line in lines[first:last]:
-            if line.startswith("#"):
-                if tokens or extra_rows:
-                    # After a row: kept in place, never read for sent_id.
-                    extra_rows.append((len(tokens), line))
-                else:
-                    comments.append(line)
-                continue
-            n_columns = line.count("\t") + 1
-            if n_columns != N_COLUMNS:
-                raise MalformedLine(f"expected {N_COLUMNS} tab-separated "
-                                    f"columns, got {n_columns}")
-            head, _, mwe = line.rpartition("\t")
-            raw_id, form, lemma, columns = head.split("\t", 3)
-            tok_id = len(tokens) + 1
-            if tok_id >= len(_NUMERALS) or raw_id != _NUMERALS[tok_id]:
-                if "-" in raw_id or "." in raw_id:
-                    # Range or empty-node row: no MWE annotation, kept verbatim.
-                    extra_rows.append((len(tokens), line))
-                    continue
-                try:
-                    tok_id = int(raw_id)
-                except ValueError:
-                    raise MalformedLine(
-                        f"token id {raw_id!r} is not an integer") from None
-                if str(tok_id) != raw_id:
-                    raise MalformedLine(
-                        f"token id {raw_id!r} is not written as {tok_id}")
-                in_order = False
-            parsed = memo.get(mwe)
-            if parsed is None:
-                parsed = memo[mwe] = (_parse_mwe_field(mwe), mwe)
-            tags, raw = parsed
-            # No Python-level call: the fields are a tuple of the right type.
-            token = tuple.__new__(Token, (tok_id, form, lemma, columns, tags,
-                                          raw))
-            tokens.append(token)
-            if tags:
-                annotated.append(token)
-        block_check = True
-        if not tokens:
-            raise MalformedLine("sentence block contains no token lines")
-        if not in_order:
-            ids = [t.id for t in tokens]
-            if ids != list(range(1, len(ids) + 1)):
-                raise NonContiguousIds(f"token ids {ids} are not 1..{len(ids)}")
-        _check_mwe_rules(annotated)
-    except CuptError as err:
-        # Each row read before the failing one went to exactly one list.
-        line_no = first + 1 + (0 if block_check else
-                               len(comments) + len(tokens) + len(extra_rows))
-        raise type(err)(f"{source}:{line_no}: {err}") from None
-    sent_id = ""
-    for line in comments:
-        key, sep, value = line[1:].partition("=")
-        if sep and key.strip() == "sent_id":
-            sent_id = value.strip()
-    return Sentence(tokens=tuple(tokens), sent_id=sent_id, language=language,
-                    comments=tuple(comments), extra_rows=tuple(extra_rows))
-
-
 def parse_cupt(text: str, language: str | None = None,
                source: str = "<string>") -> Corpus:
     """Parse CUPT text into a Corpus, stamping ``language`` on each sentence.
@@ -337,25 +262,93 @@ def parse_cupt(text: str, language: str | None = None,
     Sentence blocks are separated by blank lines; '#' lines are kept
     verbatim; multiword-token ranges and empty nodes are preserved but
     excluded from the token sequence. LF, CRLF and a lone CR each end a
-    line, as in a file opened in text mode. Sentences are built with the
-    cyclic garbage collector paused (see ``collector_paused``).
+    line, as in a file opened in text mode. One pass over the lines builds
+    every sentence, with the cyclic garbage collector paused (see
+    ``collector_paused``); a CuptError names its row, or its block's first
+    line for a check of the whole block.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     lines.append("")  # a blank line ends the last block
     sentences: list[Sentence] = []
+    # Each MWE field read so far -> (its memberships, itself), shared by tokens.
     memo: dict[str, tuple] = {}
-    first = None
+    first = None  # index of the current block's first line
     with collector_paused():
-        for index, line in enumerate(lines):
-            if line and not line.isspace():
+        try:
+            for index, line in enumerate(lines):
+                if not line or line.isspace():
+                    if first is None:
+                        continue  # a blank line between blocks
+                    if not tokens:
+                        raise MalformedLine(
+                            "sentence block contains no token lines")
+                    if not in_order:
+                        ids = [t.id for t in tokens]
+                        if ids != list(range(1, len(ids) + 1)):
+                            raise NonContiguousIds(
+                                f"token ids {ids} are not 1..{len(ids)}")
+                    _check_mwe_rules(annotated)
+                    sent_id = ""
+                    for comment in comments:
+                        key, sep, value = comment[1:].partition("=")
+                        if sep and key.strip() == "sent_id":
+                            sent_id = value.strip()
+                    sentences.append(Sentence(
+                        tokens=tuple(tokens), sent_id=sent_id,
+                        language=language, comments=tuple(comments),
+                        extra_rows=tuple(extra_rows)))
+                    first = None
+                    continue
                 if first is None:
                     first = index
-            elif first is not None:
-                sentences.append(_parse_block(lines, first, index, language,
-                                              source, memo))
-                first = None
+                    comments, tokens, annotated, extra_rows = [], [], [], []
+                    in_order = True
+                if line.startswith("#"):
+                    if tokens or extra_rows:
+                        # After a row: kept in place, never read for sent_id.
+                        extra_rows.append((len(tokens), line))
+                    else:
+                        comments.append(line)
+                    continue
+                n_columns = line.count("\t") + 1
+                if n_columns != N_COLUMNS:
+                    raise MalformedLine(f"expected {N_COLUMNS} tab-separated "
+                                        f"columns, got {n_columns}")
+                head, _, mwe = line.rpartition("\t")
+                raw_id, form, lemma, columns = head.split("\t", 3)
+                tok_id = len(tokens) + 1
+                if tok_id >= len(_NUMERALS) or raw_id != _NUMERALS[tok_id]:
+                    if "-" in raw_id or "." in raw_id:
+                        # Range or empty-node row: no MWE annotation, kept
+                        # verbatim.
+                        extra_rows.append((len(tokens), line))
+                        continue
+                    try:
+                        tok_id = int(raw_id)
+                    except ValueError:
+                        raise MalformedLine(
+                            f"token id {raw_id!r} is not an integer") from None
+                    if str(tok_id) != raw_id:
+                        raise MalformedLine(
+                            f"token id {raw_id!r} is not written as {tok_id}")
+                    in_order = False
+                parsed = memo.get(mwe)
+                if parsed is None:
+                    parsed = memo[mwe] = (_parse_mwe_field(mwe), mwe)
+                tags, raw = parsed
+                # No Python-level call: the fields are a tuple of the right type.
+                token = tuple.__new__(Token, (tok_id, form, lemma, columns,
+                                              tags, raw))
+                tokens.append(token)
+                if tags:
+                    annotated.append(token)
+        except CuptError as err:
+            # A row names its own line. The checks of a whole block run at
+            # the blank line that ends it and name the block's first line.
+            at = first if not line or line.isspace() else index
+            raise type(err)(f"{source}:{at + 1}: {err}") from None
     return Corpus(sentences=tuple(sentences))
 
 

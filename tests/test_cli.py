@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 
 import numpy as np
 import pytest
@@ -487,6 +488,29 @@ class TestGradcheck:
     def test_injected_error_detected(self, capsys):
         assert run(["gradcheck", "--inject-error"]) == EXIT_GRADCHECK
         assert "corrupted_adjoint" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("inject", [False, True])
+    def test_each_line_names_its_case_and_status(self, capsys, inject):
+        ops = ["matmul", "sigmoid", "relu", "embedding", "embedding_window",
+               "cross_entropy", "zero_diag", "lateral_inhibition_relaxed"]
+        want = [(name, "ok") for name in ops]
+        if inject:
+            want.append(("corrupted_adjoint", "FAIL"))
+        # The negative control comes after every case and is not counted.
+        want.append(("hard_heaviside_control", "expected-fail (ok)"))
+        argv = ["gradcheck", "--inject-error"] if inject else ["gradcheck"]
+        code = run(argv)
+        *lines, summary = capsys.readouterr().out.splitlines()
+        rows = [re.fullmatch(r"(\S+) +max relative error \S+  (.+)", line)
+                for line in lines]
+        assert [row.groups() for row in rows] == want
+        if inject:
+            assert code == EXIT_GRADCHECK
+            assert summary == "gradient check FAILED: corrupted_adjoint"
+        else:
+            assert code == EXIT_OK
+            assert summary == ("gradient check passed (8 operations, "
+                               "threshold 1e-05)")
 
     @pytest.mark.parametrize("step", ["0", "nan", "inf", "-1e-5"])
     def test_step_must_be_finite_and_positive(self, capsys, step):

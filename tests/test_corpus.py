@@ -250,20 +250,56 @@ class TestParsing:
                 assert _outcome(parse_cupt_file, path) == want
                 assert _outcome(parse_cupt, variant, source=str(path)) == want
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("row, error, line, message", [
+        ("2\tde\tde", MalformedLine, 10,
+         "expected 11 tab-separated columns, got 3"),
+        ("01\tde\tde\tX\t_\t_\t_\t_\t_\t_\t*", MalformedLine, 10,
+         "token id '01' is not written as 1"),
+        ("2\tde\tde\tX\t_\t_\t_\t_\t_\t_\t1:", BadMweColumn, 10,
+         "invalid MWE category code: ''"),
+        ("3\tde\tde\tX\t_\t_\t_\t_\t_\t_\t*", NonContiguousIds, 5,
+         "token ids [1, 3] are not 1..2"),
+        ("2\tde\tde\tX\t_\t_\t_\t_\t_\t_\t1", DanglingMweId, 5,
+         "MWE 1 has no category-bearing component"),
+    ], ids=["columns", "id_01", "mwe_field", "ids_1_3", "dangling"])
+    def test_error_line_numbers(self, tmp_path, ending, row, error, line,
+                                message):
+        # A bad row is reported at its own line, a fault of the whole block
+        # at the block's first line (5): the second block, after a range
+        # row, an empty node and a '#' line that follows a row.
+        def text(row):
+            return ending.join([
+                "# sent_id = a", "1\ta\ta\tX\t_\t_\t_\t_\t_\t_\t*", "", "  ",
+                "# sent_id = b", "1\tan\tan\tX\t_\t_\t_\t_\t_\t_\t*",
+                "2-3\tdel\t_\t_\t_\t_\t_\t_\t_\t_\t*",
+                "3.1\tnull\t_\t_\t_\t_\t_\t_\t_\t_\t*", "# after a row", row,
+                "# tail", "", ""])
+
+        path = tmp_path / "lines.cupt"
+        good = text("2\tde\tde\tX\t_\t_\t_\t_\t_\t_\t*")
+        assert [len(s) for s in parse_cupt(good).sentences] == [1, 2]
+        path.write_bytes(text(row).encode("utf-8"))
+        want = (error, f"{path}:{line}: {message}")
+        assert _outcome(parse_cupt, text(row), source=str(path)) == want
+        assert _outcome(parse_cupt_file, path) == want
+
     def test_collector_paused_only_while_parsing(self, monkeypatch):
-        parse_block, during = mweid.corpus._parse_block, []
+        # The parser looks ``Sentence`` up each time it builds one.
+        sentence, during = mweid.corpus.Sentence, []
 
-        def watched(*args):
+        def watched(*args, **kwargs):
             during.append(gc.isenabled())
-            return parse_block(*args)
+            return sentence(*args, **kwargs)
 
-        monkeypatch.setattr(mweid.corpus, "_parse_block", watched)
+        monkeypatch.setattr(mweid.corpus, "Sentence", watched)
         enabled = gc.isenabled()
+        block = cupt_text([("a", "a", "*")])
         try:
             for state in (True, False):
                 (gc.enable if state else gc.disable)()
-                for text in (cupt_text([("a", "a", "*")]) * 3,
-                             "1\tonly\tthree\n"):
+                # The fault case builds one sentence before its error.
+                for text in (block * 3, block + "1\tonly\tthree\n"):
                     during.clear()
                     _outcome(parse_cupt, text)
                     assert during and not any(during)
