@@ -16,7 +16,7 @@ os.environ.update(dict.fromkeys((
 
 from .corpus import (Corpus, MweInstance, Sentence, Token, VmweCategory,
                      corpus_stats, decode_tags, encode_tags, extract_mwes,
-                     merge_corpora, parse_cupt, parse_cupt_file,
+                     iter_cupt, merge_corpora, parse_cupt, parse_cupt_file,
                      seen_lemma_keys, serialize_corpus)
 from .evaluation import EvalResult, Scores, evaluate, match_mwes, predict_corpus
 from .model import ModelConfig, MweTagger
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Corpus", "MweInstance", "Sentence", "Token", "VmweCategory",
-    "corpus_stats", "decode_tags", "encode_tags", "extract_mwes",
+    "corpus_stats", "decode_tags", "encode_tags", "extract_mwes", "iter_cupt",
     "merge_corpora", "parse_cupt", "parse_cupt_file", "seen_lemma_keys",
     "serialize_corpus", "EvalResult", "Scores", "evaluate", "match_mwes",
     "predict_corpus", "ModelConfig", "MweTagger", "TrainerConfig",

@@ -28,9 +28,10 @@ import numpy as np
 from . import autodiff as ad
 from . import corpus as corpus_mod
 from . import inhibition
-from .corpus import CuptError, _write_atomic, parse_cupt_file, serialize_corpus
-from .evaluation import (AlignmentMismatch, TokenizationMismatch, evaluate,
-                         format_table, predict_corpus)
+from .corpus import (CuptError, _write_atomic, iter_cupt, seen_lemma_keys,
+                     serialize_corpus)
+from .evaluation import (AlignmentMismatch, TokenizationMismatch, aligned,
+                         format_table, predict_corpus, score)
 from .model import CheckpointError, ModelConfig, MweTagger
 from .trainer import TrainerConfig, train
 
@@ -42,6 +43,8 @@ EXIT_ALIGNMENT = 5
 EXIT_GRADCHECK = 6
 
 GRADCHECK_THRESHOLD = 1e-5
+# Token rows that ``mweid tag`` reads, tags and writes at a time.
+GROUP_TOKENS = 4096
 
 
 class CliError(Exception):
@@ -67,12 +70,30 @@ def _inputs(specs: list[str], need_language: bool = False):
     return inputs
 
 
-def _load(inputs) -> corpus_mod.Corpus:
-    """One corpus of the inputs' sentences in order, each parsed with its
+def _read(inputs):
+    """The inputs' sentences in order, each read block by block with its
     input's language."""
-    return corpus_mod.Corpus(sentences=tuple(
-        sentence for language, path in inputs
-        for sentence in parse_cupt_file(path, language=language)))
+    for language, path in inputs:
+        yield from iter_cupt(path, language)
+
+
+def _load(inputs) -> corpus_mod.Corpus:
+    """One corpus of the inputs' sentences in order."""
+    return corpus_mod.Corpus(tuple(_read(inputs)))
+
+
+def _groups(sentences):
+    """The sentences in tuples of at most GROUP_TOKENS token rows (a longer
+    sentence is a group of its own)."""
+    group, rows = [], 0
+    for sentence in sentences:
+        if group and rows + len(sentence) > GROUP_TOKENS:
+            yield tuple(group)
+            group, rows = [], 0
+        group.append(sentence)
+        rows += len(sentence)
+    if group:
+        yield tuple(group)
 
 
 @dataclass(frozen=True)
@@ -233,6 +254,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_tag(args) -> int:
+    """Tag the input GROUP_TOKENS token rows at a time into the output.
+
+    BLAS rounds a row's logits in the last bits by the rows that share its
+    block, so where a token's two highest logits lie within about 1e-15,
+    its tag may differ from that of ``predict_corpus`` over the whole input.
+    """
     if not Path(args.checkpoint).is_file():
         raise CliError(f"no such checkpoint: {args.checkpoint}")
     output = Path(args.output)
@@ -242,10 +269,17 @@ def cmd_tag(args) -> int:
         model = MweTagger.load(args.checkpoint)
     except CheckpointError as err:
         raise CliError(f"bad checkpoint: {err}") from err
-    corpus = _load(inputs)
-    predicted = predict_corpus(model, corpus)
-    _write_text(output, serialize_corpus(predicted))
-    print(f"tagged {len(predicted)} sentences -> {output}")
+    tagged = 0
+
+    def write(handle):
+        nonlocal tagged
+        for group in _groups(_read(inputs)):
+            predicted = predict_corpus(model, corpus_mod.Corpus(group))
+            handle.write(serialize_corpus(predicted))
+            tagged += len(predicted)
+
+    _write_atomic(output, write)
+    print(f"tagged {tagged} sentences -> {output}")
     return EXIT_OK
 
 
@@ -253,11 +287,21 @@ def cmd_eval(args) -> int:
     if args.report:
         _check_output_file(Path(args.report), force=True)
     gold, pred, *train = _inputs([args.gold, args.pred, *args.train])
+    # Faults are reported as a read of gold, then predictions, then
+    # training would meet them, and before an alignment mismatch: the
+    # training fault is held while gold and predictions are scored.
     try:
-        result = evaluate(_load([gold]), _load([pred]), _load(train),
-                          category_sensitive=args.category_sensitive)
+        seen, train_fault = seen_lemma_keys(_read(train)), None
+    except CuptError as err:
+        seen, train_fault = set(), err
+    try:
+        result = score(aligned(_read([gold]), _read([pred])), seen,
+                       args.category_sensitive)
     except (AlignmentMismatch, TokenizationMismatch) as err:
-        raise CliError(f"alignment error: {err}", EXIT_ALIGNMENT) from err
+        if train_fault is None:
+            raise CliError(f"alignment error: {err}", EXIT_ALIGNMENT) from err
+    if train_fault is not None:
+        raise train_fault
     print(format_table(result, label=args.label))
     if args.report:
         _write_text(args.report, _json_text(result.as_dict()))
@@ -366,7 +410,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    stats = corpus_mod.corpus_stats(_load(_inputs(args.corpora)))
+    stats = corpus_mod.corpus_stats(_read(_inputs(args.corpora)))
     print(f"{'language':<10}{'sentences':>10}{'tokens':>10}{'mwes':>8}  "
           f"per-category")
     rows = [("all", stats)] + sorted(stats.by_language.items())

@@ -10,13 +10,16 @@ training.
 
 from __future__ import annotations
 
+import codecs
 import gc
+import io
 import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 CUPT_COLUMNS = ("ID", "FORM", "LEMMA", "UPOS", "XPOS", "FEATS",
                 "HEAD", "DEPREL", "DEPS", "MISC", "PARSEME:MWE")
@@ -24,6 +27,8 @@ N_COLUMNS = len(CUPT_COLUMNS)
 # _NUMERALS[n] is token id n as CUPT writes it: a row whose id field equals
 # the numeral its position expects needs no int() or further check.
 _NUMERALS = tuple(map(str, range(1024)))
+# Bytes that ``iter_cupt`` reads from a file at a time.
+PIECE_BYTES = 1 << 16
 
 
 class CuptError(ValueError):
@@ -269,100 +274,160 @@ def parse_cupt(text: str, language: str | None = None,
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    lines.append("")  # a blank line ends the last block
-    sentences: list[Sentence] = []
+    with collector_paused():
+        return Corpus(tuple(_parse((text,), language, source)))
+
+
+def _parse(pieces, language: str | None, source: str):
+    """Yield the Sentence of each block of the LF-ended text that comes in
+    ``pieces`` as the blank line after it, or the end, closes it: the one
+    row loop of ``parse_cupt`` and ``iter_cupt``."""
     # Each MWE field read so far -> (its memberships, itself), shared by tokens.
     memo: dict[str, tuple] = {}
     first = None  # index of the current block's first line
-    with collector_paused():
-        try:
-            for index, line in enumerate(lines):
-                if not line or line.isspace():
-                    if first is None:
-                        continue  # a blank line between blocks
-                    if not tokens:
-                        raise MalformedLine(
-                            "sentence block contains no token lines")
-                    if not in_order:
-                        ids = [t.id for t in tokens]
-                        if ids != list(range(1, len(ids) + 1)):
-                            raise NonContiguousIds(
-                                f"token ids {ids} are not 1..{len(ids)}")
-                    _check_mwe_rules(annotated)
-                    sent_id = ""
-                    for comment in comments:
-                        key, sep, value = comment[1:].partition("=")
-                        if sep and key.strip() == "sent_id":
-                            sent_id = value.strip()
-                    sentences.append(Sentence(
-                        tokens=tuple(tokens), sent_id=sent_id,
-                        language=language, comments=tuple(comments),
-                        extra_rows=tuple(extra_rows)))
-                    first = None
-                    continue
+    try:
+        for index, line in enumerate(chain.from_iterable(_lines(pieces))):
+            if not line or line.isspace():
                 if first is None:
-                    first = index
-                    comments, tokens, annotated, extra_rows = [], [], [], []
-                    in_order = True
-                if line.startswith("#"):
-                    if tokens or extra_rows:
-                        # After a row: kept in place, never read for sent_id.
-                        extra_rows.append((len(tokens), line))
-                    else:
-                        comments.append(line)
+                    continue  # a blank line between blocks
+                if not tokens:
+                    raise MalformedLine(
+                        "sentence block contains no token lines")
+                if not in_order:
+                    ids = [t.id for t in tokens]
+                    if ids != list(range(1, len(ids) + 1)):
+                        raise NonContiguousIds(
+                            f"token ids {ids} are not 1..{len(ids)}")
+                _check_mwe_rules(annotated)
+                sent_id = ""
+                for comment in comments:
+                    key, sep, value = comment[1:].partition("=")
+                    if sep and key.strip() == "sent_id":
+                        sent_id = value.strip()
+                yield Sentence(
+                    tokens=tuple(tokens), sent_id=sent_id,
+                    language=language, comments=tuple(comments),
+                    extra_rows=tuple(extra_rows))
+                first = None
+                continue
+            if first is None:
+                first = index
+                comments, tokens, annotated, extra_rows = [], [], [], []
+                in_order = True
+            if line.startswith("#"):
+                if tokens or extra_rows:
+                    # After a row: kept in place, never read for sent_id.
+                    extra_rows.append((len(tokens), line))
+                else:
+                    comments.append(line)
+                continue
+            n_columns = line.count("\t") + 1
+            if n_columns != N_COLUMNS:
+                raise MalformedLine(f"expected {N_COLUMNS} tab-separated "
+                                    f"columns, got {n_columns}")
+            head, _, mwe = line.rpartition("\t")
+            raw_id, form, lemma, columns = head.split("\t", 3)
+            tok_id = len(tokens) + 1
+            if tok_id >= len(_NUMERALS) or raw_id != _NUMERALS[tok_id]:
+                if "-" in raw_id or "." in raw_id:
+                    # Range or empty-node row: no MWE annotation, kept
+                    # verbatim.
+                    extra_rows.append((len(tokens), line))
                     continue
-                n_columns = line.count("\t") + 1
-                if n_columns != N_COLUMNS:
-                    raise MalformedLine(f"expected {N_COLUMNS} tab-separated "
-                                        f"columns, got {n_columns}")
-                head, _, mwe = line.rpartition("\t")
-                raw_id, form, lemma, columns = head.split("\t", 3)
-                tok_id = len(tokens) + 1
-                if tok_id >= len(_NUMERALS) or raw_id != _NUMERALS[tok_id]:
-                    if "-" in raw_id or "." in raw_id:
-                        # Range or empty-node row: no MWE annotation, kept
-                        # verbatim.
-                        extra_rows.append((len(tokens), line))
-                        continue
-                    try:
-                        tok_id = int(raw_id)
-                    except ValueError:
-                        raise MalformedLine(
-                            f"token id {raw_id!r} is not an integer") from None
-                    if str(tok_id) != raw_id:
-                        raise MalformedLine(
-                            f"token id {raw_id!r} is not written as {tok_id}")
-                    in_order = False
-                parsed = memo.get(mwe)
-                if parsed is None:
-                    parsed = memo[mwe] = (_parse_mwe_field(mwe), mwe)
-                tags, raw = parsed
-                # No Python-level call: the fields are a tuple of the right type.
-                token = tuple.__new__(Token, (tok_id, form, lemma, columns,
-                                              tags, raw))
-                tokens.append(token)
-                if tags:
-                    annotated.append(token)
-        except CuptError as err:
-            # A row names its own line. The checks of a whole block run at
-            # the blank line that ends it and name the block's first line.
-            at = first if not line or line.isspace() else index
-            raise type(err)(f"{source}:{at + 1}: {err}") from None
-    return Corpus(sentences=tuple(sentences))
+                try:
+                    tok_id = int(raw_id)
+                except ValueError:
+                    raise MalformedLine(
+                        f"token id {raw_id!r} is not an integer") from None
+                if str(tok_id) != raw_id:
+                    raise MalformedLine(
+                        f"token id {raw_id!r} is not written as {tok_id}")
+                in_order = False
+            parsed = memo.get(mwe)
+            if parsed is None:
+                parsed = memo[mwe] = (_parse_mwe_field(mwe), mwe)
+            tags, raw = parsed
+            # No Python-level call: the fields are a tuple of the right type.
+            token = tuple.__new__(Token, (tok_id, form, lemma, columns,
+                                          tags, raw))
+            tokens.append(token)
+            if tags:
+                annotated.append(token)
+    except CuptError as err:
+        # A row names its own line. The checks of a whole block run at
+        # the blank line that ends it and name the block's first line.
+        at = first if not line or line.isspace() else index
+        raise type(err)(f"{source}:{at + 1}: {err}") from None
+
+
+class _NotUtf8(Exception):
+    """A file's byte at offset ``args[0]`` is not UTF-8."""
+
+
+def _decoded(handle):
+    """The text of a binary file, decoded piece by piece with every line
+    ending as LF; a byte that is not UTF-8 raises _NotUtf8 with its offset
+    in the file."""
+    # CRLF and a lone CR become LF; a CR that ends a piece waits for the next.
+    decoder = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder("utf-8")(), translate=True)
+    offset = 0  # bytes read before the current piece
+    while True:
+        data = handle.read(PIECE_BYTES)
+        # Bytes of a character cut at the end of the last piece wait in
+        # the decoder, and an error's offset counts from them.
+        waiting = len(decoder.getstate()[0])
+        try:
+            yield decoder.decode(data, final=not data)
+        except UnicodeDecodeError as err:
+            raise _NotUtf8(offset - waiting + err.start,
+                           err.object[err.start]) from None
+        if not data:
+            return
+        offset += len(data)
+
+
+def _lines(pieces):
+    """The lines of the LF-ended text that comes in ``pieces``, without
+    their ends, as one list per piece."""
+    rest = ""
+    for piece in pieces:
+        *lines, rest = (rest + piece).split("\n")
+        yield lines
+    yield [rest, ""]  # a blank line ends the last block
+
+
+def iter_cupt(path, language: str | None = None):
+    """Yield the sentences of a UTF-8 CUPT file one block at a time, as
+    ``parse_cupt`` of its text with the path as ``source`` would build
+    them, reading PIECE_BYTES bytes at a time: memory holds one piece and
+    one block, not the file.
+
+    A CuptError is raised where the reader meets it, after the sentences
+    before it were yielded. A byte that is not UTF-8 names the path and its
+    offset, and comes before any row fault of the file: after a row fault
+    the rest of the file is still decoded, though not parsed.
+    """
+    with open(path, "rb") as handle:
+        pieces = _decoded(handle)
+        try:
+            try:
+                yield from _parse(pieces, language, str(path))
+            except CuptError:
+                for _ in pieces:
+                    pass
+                raise
+        except _NotUtf8 as err:
+            offset, byte = err.args
+            raise CuptError(f"{path}: byte {offset} (0x{byte:02x}) is not "
+                            f"UTF-8") from None
 
 
 def parse_cupt_file(path, language: str | None = None) -> Corpus:
-    """Parse a UTF-8 CUPT file; a byte that is not UTF-8 raises CuptError
-    naming the path and the byte's offset."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise CuptError(f"{path}: byte {err.start} (0x{data[err.start]:02x}) "
-                        f"is not UTF-8") from None
-    return parse_cupt(text, language=language, source=str(path))
+    """Parse a UTF-8 CUPT file: the sentences of ``iter_cupt``, read with
+    the cyclic garbage collector paused."""
+    with collector_paused():
+        return Corpus(tuple(iter_cupt(path, language)))
 
 
 def _write_atomic(path, write) -> None:
@@ -535,8 +600,9 @@ def merge_corpora(parts: list[tuple[Corpus, str]]) -> Corpus:
     return Corpus(sentences=tuple(sentences))
 
 
-def seen_lemma_keys(train: Corpus) -> set[tuple[str, ...]]:
-    """Lemma keys of every annotated MWE in the training corpus.
+def seen_lemma_keys(train: Iterable[Sentence]) -> set[tuple[str, ...]]:
+    """Lemma keys of every annotated MWE in the training sentences (a Corpus,
+    or sentences read one at a time).
 
     A test MWE is *unseen* exactly when its lemma key is absent from
     this set (category plays no role).
@@ -545,8 +611,9 @@ def seen_lemma_keys(train: Corpus) -> set[tuple[str, ...]]:
             for sentence in train for instance in extract_mwes(sentence)}
 
 
-def corpus_stats(corpus: Corpus) -> CorpusStats:
-    """Count tokens, sentences and MWEs per category and per language."""
+def corpus_stats(corpus: Iterable[Sentence]) -> CorpusStats:
+    """Count tokens, sentences and MWEs per category and per language, in
+    one pass over the sentences."""
     stats = CorpusStats()
     for sentence in corpus:
         language = sentence.language or "?"

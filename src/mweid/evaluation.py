@@ -7,17 +7,22 @@ instances whose lemma key never occurs as an annotated MWE in the
 training corpus. All arithmetic is kept at full precision; percentages
 are rounded half-up to two decimals only for display.
 
-``score`` counts per-sentence instance lists: those ``evaluate`` extracts,
-or training's dev gold (extracted once per run) and decoded predictions.
+``score`` folds per-sentence pairs of instance lists: those ``aligned``
+extracts as it reads gold and predictions in lockstep (for ``evaluate``
+and ``mweid eval``), or training's dev gold (extracted once per run) and
+decoded predictions.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import zip_longest
+from typing import Iterable
 
-from .corpus import (Corpus, MweInstance, Sentence, decode_tags, extract_mwes,
-                     seen_lemma_keys, with_instances)
+from .corpus import (Corpus, CuptError, MweInstance, Sentence, decode_tags,
+                     extract_mwes, seen_lemma_keys, with_instances)
 
 
 class TokenizationMismatch(ValueError):
@@ -115,23 +120,67 @@ def _pair(gold_instances: list[MweInstance], pred_instances: list[MweInstance],
     return pairs
 
 
-def score(gold: list[list[MweInstance]], predicted: list[list[MweInstance]],
-          seen: set, category_sensitive: bool = False) -> EvalResult:
-    """Count gold, predicted and matched instances over per-sentence lists.
-    The unseen side keeps the instances whose lemma key is not in ``seen``;
-    a match is unseen when its gold instance is."""
-    matched = [g for gold_instances, pred_instances in zip(gold, predicted, strict=True)
-               for g, _ in _pair(gold_instances, pred_instances, category_sensitive)]
-    gold_all = [instance for instances in gold for instance in instances]
-    pred_all = [instance for instances in predicted for instance in instances]
+def score(pairs, seen: set, category_sensitive: bool = False) -> EvalResult:
+    """Fold one (gold instances, predicted instances) pair per sentence into
+    Counters of the lemma keys of gold, predicted and matched instances (a
+    match counted by its gold instance), so memory grows with the distinct
+    keys, not the sentences. The unseen side is read off at the end: the
+    keys not in ``seen``."""
+    gold, predicted, matched = Counter(), Counter(), Counter()
+    for gold_instances, pred_instances in pairs:
+        if gold_instances:
+            gold.update(instance.lemma_key for instance in gold_instances)
+        if pred_instances:
+            predicted.update(instance.lemma_key for instance in pred_instances)
+            if gold_instances:
+                matched.update(g.lemma_key for g, _ in _pair(
+                    gold_instances, pred_instances, category_sensitive))
 
-    def unseen(instances) -> int:
-        return sum(1 for instance in instances if instance.lemma_key not in seen)
+    def unseen(counts: Counter) -> int:
+        return sum(n for key, n in counts.items() if key not in seen)
 
     return EvalResult(
-        Scores(len(gold_all), len(pred_all), len(matched)),
-        Scores(unseen(gold_all), unseen(pred_all), unseen(matched)),
+        Scores(gold.total(), predicted.total(), matched.total()),
+        Scores(unseen(gold), unseen(predicted), unseen(matched)),
         category_sensitive)
+
+
+def aligned(gold: Iterable[Sentence], pred: Iterable[Sentence]):
+    """Yield each sentence pair's (gold instances, predicted instances) for
+    ``score``, reading gold and predictions in lockstep.
+
+    Once every pair is yielded, a sentence count mismatch raises
+    AlignmentMismatch, then the first pair whose tokens differ raises
+    TokenizationMismatch. Parse faults come as a read of all of gold, then
+    all of predictions, would meet them: gold's is raised where it is met,
+    and a CuptError from predictions waits until gold ends.
+    """
+    held, mismatch, n_gold, n_pred = [], None, 0, 0
+
+    def until_fault(sentences):
+        try:
+            yield from sentences
+        except CuptError as err:
+            held.append(err)
+
+    for gold_sentence, pred_sentence in zip_longest(gold, until_fault(pred)):
+        n_gold += gold_sentence is not None
+        n_pred += pred_sentence is not None
+        if gold_sentence is None or pred_sentence is None:
+            continue
+        if mismatch is None:
+            try:
+                _check_tokenization(gold_sentence, pred_sentence)
+            except TokenizationMismatch as err:
+                mismatch = err
+        yield extract_mwes(gold_sentence), extract_mwes(pred_sentence)
+    if held:
+        raise held[0]
+    if n_gold != n_pred:
+        raise AlignmentMismatch(
+            f"gold has {n_gold} sentences, predictions have {n_pred}")
+    if mismatch is not None:
+        raise mismatch
 
 
 def evaluate(gold: Corpus, pred: Corpus, train: Corpus,
@@ -139,22 +188,24 @@ def evaluate(gold: Corpus, pred: Corpus, train: Corpus,
     """Score a predicted corpus against gold, globally and on unseen MWEs.
 
     The corpora must be sentence-aligned and agree on every sentence's
-    tokens. Each sentence's instances are extracted once and counted by
-    ``score``, with the unseen side keyed by ``seen_lemma_keys(train)``.
+    tokens (see ``aligned``). Each sentence's instances are extracted once
+    and counted by ``score``, with the unseen side keyed by
+    ``seen_lemma_keys(train)``.
     """
-    if len(gold) != len(pred):
-        raise AlignmentMismatch(
-            f"gold has {len(gold)} sentences, predictions have {len(pred)}")
-    for gold_sentence, pred_sentence in zip(gold, pred):
-        _check_tokenization(gold_sentence, pred_sentence)
-    return score([extract_mwes(s) for s in gold], [extract_mwes(s) for s in pred],
-                 seen_lemma_keys(train), category_sensitive)
+    return score(aligned(gold, pred), seen_lemma_keys(train),
+                 category_sensitive)
 
 
 def predict_corpus(model, corpus: Corpus) -> Corpus:
     """Rewrite every sentence's MWE column from its decoded tags: one encode
     and ``model.predict_tags`` over the corpus (ties pick the lowest tag
-    index), and no lemma keys, which only scoring reads."""
+    index), and no lemma keys, which only scoring reads.
+
+    BLAS rounds a row's logits in the last bits by the rows that share its
+    block of ``model.predict_tags``, so tagging a corpus in parts may give
+    another tag than tagging it whole where two logits lie within about
+    1e-15.
+    """
     tags = model.predict_tags(model.extractor.encode(corpus.sentences))
     return Corpus(sentences=tuple(map(with_instances, corpus,
                                       map(decode_tags, tags))))

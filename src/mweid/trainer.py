@@ -256,8 +256,8 @@ def train(model: MweTagger, train_corpus: Corpus,
             lang_accuracy=(lang_correct / len(sentences)
                            if model.discriminator is not None else None))
         if dev_corpus is not None:
-            result = score(dev_gold, list(map(decode_tags, model.predict_tags(dev),
-                                              dev_lemmas)), seen)
+            result = score(zip(dev_gold, map(decode_tags, model.predict_tags(dev),
+                                             dev_lemmas), strict=True), seen)
             record.dev_global_f1 = result.global_scores.f1
             record.dev_unseen_f1 = result.unseen_scores.f1
             if (report.best_dev_global_f1 is None

@@ -3,6 +3,7 @@
 import gc
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,11 @@ def run(args):
 
 def _refuse_work(*args, **kwargs):
     raise AssertionError("work started before the paths were checked")
+
+
+def _refuse_reading(monkeypatch):
+    """Make the CLI's corpus reader refuse to run."""
+    monkeypatch.setattr(cli, "iter_cupt", _refuse_work)
 
 
 def train_args(out, epochs=3, extra=()):
@@ -167,7 +173,7 @@ class TestTrain:
         def refuse(*args, **kwargs):
             raise AssertionError("a corpus was parsed")
 
-        monkeypatch.setattr(cli, "parse_cupt_file", refuse)
+        monkeypatch.setattr(cli, "iter_cupt", refuse)
         out = tmp_path / "run"
         assert run(train_args(out, extra=extra)) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(
@@ -176,7 +182,7 @@ class TestTrain:
 
     def test_output_directory_that_is_a_file(self, tmp_path, capsys,
                                              monkeypatch):
-        monkeypatch.setattr(cli, "parse_cupt_file", _refuse_work)
+        _refuse_reading(monkeypatch)
         out = tmp_path / "F"
         out.write_text("kept")
         assert run(train_args(out)) == EXIT_CONFIG
@@ -186,7 +192,7 @@ class TestTrain:
 
     def test_output_directory_under_a_file(self, tmp_path, capsys,
                                            monkeypatch):
-        monkeypatch.setattr(cli, "parse_cupt_file", _refuse_work)
+        _refuse_reading(monkeypatch)
         parent = tmp_path / "F"
         parent.write_text("kept")
         assert run(train_args(parent / "run")) == EXIT_CONFIG
@@ -329,7 +335,7 @@ class TestTag:
     def test_output_in_a_missing_directory(self, checkpoint, tmp_path,
                                            monkeypatch, capsys):
         monkeypatch.setattr(cli.MweTagger, "load", _refuse_work)
-        monkeypatch.setattr(cli, "parse_cupt_file", _refuse_work)
+        _refuse_reading(monkeypatch)
         out = tmp_path / "missing" / "out.cupt"
         assert run(["tag", str(checkpoint), RO, str(out)]) == EXIT_CONFIG
         assert f"error: no such directory: {out.parent}" \
@@ -339,7 +345,7 @@ class TestTag:
     def test_output_that_is_a_directory(self, checkpoint, tmp_path,
                                         monkeypatch, capsys):
         monkeypatch.setattr(cli.MweTagger, "load", _refuse_work)
-        monkeypatch.setattr(cli, "parse_cupt_file", _refuse_work)
+        _refuse_reading(monkeypatch)
         out = tmp_path / "D"
         out.mkdir()
         assert run(["tag", str(checkpoint), RO, str(out), "--force"]) \
@@ -380,7 +386,7 @@ class TestTag:
         payload = json.loads(path.read_text())
         payload["tagset"][1] = first.format(payload["tagset"][1][2:])
         path.write_text(json.dumps(payload))
-        monkeypatch.setattr(cli, "parse_cupt_file", _refuse_work)
+        _refuse_reading(monkeypatch)
         out = tmp_path / "p.cupt"
         assert run(["tag", str(path), RO, str(out)]) == EXIT_CONFIG
         assert f"error: bad checkpoint: {message}" in capsys.readouterr().err
@@ -405,6 +411,41 @@ class TestTag:
         assert capsys.readouterr().err == (f"error: parse error: {bad}:1: "
                                            f"token id '01' is not written as 1\n")
         assert not out.exists()
+
+    def test_groups_give_the_bytes_of_one_pass(self, checkpoint, tmp_path,
+                                               monkeypatch, capsys):
+        # 150 copies of the fixture: 4,650 token rows in sentences of 5-7,
+        # read as 2 groups at GROUP_TOKENS, 600 groups at 11 rows (one or
+        # two sentences each), a sentence per group at 3 rows (each one
+        # longer than that) and one group at 2**30.
+        single = tmp_path / "single.cupt"
+        assert run(["tag", str(checkpoint), RO, str(single)]) == EXIT_OK
+        corpus = tmp_path / "ro150.cupt"
+        corpus.write_bytes(open(RO, "rb").read() * 150)
+        for group in (cli.GROUP_TOKENS, 11, 3, 1 << 30):
+            monkeypatch.setattr(cli, "GROUP_TOKENS", group)
+            out = tmp_path / f"pred_{group}.cupt"
+            capsys.readouterr()
+            assert run(["tag", str(checkpoint), str(corpus), str(out)]) \
+                == EXIT_OK
+            assert capsys.readouterr().out == f"tagged 750 sentences -> {out}\n"
+            assert out.read_bytes() == single.read_bytes() * 150, group
+
+    def test_fault_after_written_groups_leaves_the_output(
+            self, checkpoint, tmp_path, capsys):
+        corpus = tmp_path / "late.cupt"
+        corpus.write_bytes(open(RO, "rb").read() * 150
+                           + b"01\ta\ta\tX\t_\t_\t_\t_\t_\t_\t*\n")
+        out = tmp_path / "pred.cupt"
+        out.write_text("kept")
+        assert run(["tag", str(checkpoint), str(corpus), str(out),
+                    "--force"]) == EXIT_PARSE
+        # The fixture has 47 lines.
+        assert capsys.readouterr().err == (f"error: parse error: {corpus}:7051: "
+                                           f"token id '01' is not written as 1\n")
+        assert out.read_text() == "kept"
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == ["late.cupt", "pred.cupt", "run"]
 
     def test_bad_checkpoint(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -460,7 +501,7 @@ class TestEval:
 
     def test_report_in_a_missing_directory(self, tmp_path, capsys,
                                            monkeypatch):
-        monkeypatch.setattr(cli, "parse_cupt_file", _refuse_work)
+        _refuse_reading(monkeypatch)
         report = tmp_path / "missing" / "e.json"
         assert run(["eval", RO, RO, "--train", f"RO={RO}",
                     "--report", str(report)]) == EXIT_CONFIG
@@ -476,6 +517,59 @@ class TestEval:
         broken.write_text("1\tonly\tthree\n")
         assert run(["eval", str(broken), str(broken), "--train",
                     f"RO={RO}"]) == EXIT_PARSE
+
+    # Gold and predictions are read in lockstep, training after them, a few
+    # bytes at a time; each fault is still reported as a whole read of gold,
+    # then of predictions, then of training would meet it. Files: "ro" is
+    # the RO fixture three times (141 lines), "late" it followed by a bad
+    # row (line 142), "early" a bad row (line 1) followed by it, "bytes"
+    # "early" with a bad byte at its end, "fr+1" the FR fixture with one
+    # sentence more than RO.
+    @pytest.mark.parametrize("gold, pred, train, code, message", [
+        ("late", "early", "ro", EXIT_PARSE,
+         "parse error: {late}:142: expected 11 tab-separated columns, got 3"),
+        ("ro", "late", "early", EXIT_PARSE,
+         "parse error: {late}:142: expected 11 tab-separated columns, got 3"),
+        ("ro", "ro", "late", EXIT_PARSE,
+         "parse error: {late}:142: expected 11 tab-separated columns, got 3"),
+        ("ro1", "fr+1", "ro", EXIT_ALIGNMENT,
+         "alignment error: gold has 5 sentences, predictions have 6"),
+        ("ro1", "fr", "ro", EXIT_ALIGNMENT,
+         "alignment error: sentence 'ro-1': gold and predicted token "
+         "sequences differ"),
+        ("ro1", "fr+1", "early", EXIT_PARSE,
+         "parse error: {early}:1: expected 11 tab-separated columns, got 3"),
+        ("bytes", "early", "ro", EXIT_PARSE,
+         "parse error: {bytes}: byte 3965 (0xe9) is not UTF-8"),
+        ("ro", "bytes", "early", EXIT_PARSE,
+         "parse error: {bytes}: byte 3965 (0xe9) is not UTF-8"),
+        ("ro", "ro", "bytes", EXIT_PARSE,
+         "parse error: {bytes}: byte 3965 (0xe9) is not UTF-8"),
+    ], ids=["gold-row-after-pred-row", "pred-against-train",
+            "train-alone", "count-against-tokens", "tokens",
+            "train-against-count", "gold-late-byte", "pred-late-byte",
+            "train-late-byte"])
+    def test_faults_keep_the_order_of_whole_reads(
+            self, tmp_path, capsys, monkeypatch, gold, pred, train, code,
+            message):
+        monkeypatch.setattr(mweid.corpus, "PIECE_BYTES", 512)
+        ro, fr = (open(path, "rb").read() for path in (RO, FR))
+        bad = b"1\tonly\tthree\n"
+        texts = {"ro": ro * 3, "late": ro * 3 + bad,
+                 "early": bad + b"\n" + ro * 3,
+                 "bytes": bad + b"\n" + ro * 3 + b"\xe9\n",
+                 "ro1": ro, "fr": fr, "fr+1": fr + fr[:fr.index(b"\n\n") + 2]}
+        paths = {}
+        for name, data in texts.items():
+            paths[name] = tmp_path / f"{name}.cupt"
+            paths[name].write_bytes(data)
+        assert len(texts["bytes"]) - 2 == 3965
+        report = tmp_path / "report.json"
+        assert run(["eval", str(paths[gold]), str(paths[pred]), "--train",
+                    str(paths[train]), "--report", str(report)]) == code
+        assert capsys.readouterr().err \
+            == f"error: {message.format(**paths)}\n"
+        assert not report.exists()
 
 
 class TestGradcheck:
@@ -553,7 +647,7 @@ class TestInputsCheckedFirst:
     def test_usage_error_before_any_input_is_read(
             self, tmp_path, capsys, monkeypatch, argv, message):
         # Parsing and loading refuse, so each call must stop at its spec.
-        monkeypatch.setattr(cli, "parse_cupt_file", _refuse_work)
+        _refuse_reading(monkeypatch)
         monkeypatch.setattr(cli.MweTagger, "load", _refuse_work)
         (tmp_path / "model.json").write_text("{}")
         names = {"tmp": tmp_path, "missing": tmp_path / "missing.cupt"}
@@ -699,4 +793,47 @@ class TestCollector:
         finally:
             (gc.enable if enabled else gc.disable)()
         assert not any(during)
-        assert len(during) == (code in (EXIT_OK, RuntimeError))
+        # ``stats`` counts as it reads, so its parse error is met in the body.
+        assert len(during) == (code in (EXIT_OK, EXIT_PARSE, RuntimeError))
+
+
+class TestBoundedMemory:
+    """``tag``, ``eval`` and ``stats`` read a corpus block by block (and
+    ``tag`` tags it a group at a time), so a larger input leaves the traced
+    peak where it was. Groups and pieces are made small, so that both
+    inputs span many of them."""
+
+    @staticmethod
+    def traced_peak(argv):
+        """The peak of the memory ``mweid <argv>`` allocates, in bytes."""
+        tracemalloc.start()
+        try:
+            assert run([str(arg) for arg in argv]) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_the_input(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr(cli, "GROUP_TOKENS", 128)
+        monkeypatch.setattr(mweid.corpus, "PIECE_BYTES", 4096)
+        checkpoint = tmp_path / "model.json"
+        MweTagger.build(ModelConfig(), merge_corpora([(parse_cupt_file(RO),
+                                                       "RO")])).save(checkpoint)
+        calls = []
+        for copies in (20, 200):  # 620 and 6,200 token rows
+            corpus = tmp_path / f"ro{copies}.cupt"
+            corpus.write_bytes(open(RO, "rb").read() * copies)
+            pred = tmp_path / f"pred{copies}.cupt"
+            calls.append([["tag", checkpoint, corpus, pred, "--force"],
+                          ["eval", corpus, pred, "--train", f"RO={RO}"],
+                          ["stats", corpus]])
+        # Untraced first, so that what numpy and Python cache on a first
+        # call is charged to neither peak.
+        for argv in calls[1]:
+            assert run([str(arg) for arg in argv]) == EXIT_OK
+        peaks = [[self.traced_peak(argv) for argv in each] for each in calls]
+        # Whole corpora in memory made the larger peaks 2.3 (tag), 9.3 (eval)
+        # and 8.9 (stats) times the smaller ones.
+        for command, small, large in zip(("tag", "eval", "stats"), *peaks):
+            assert large < 1.2 * small, (command, small, large)

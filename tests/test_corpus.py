@@ -19,9 +19,9 @@ from mweid.corpus import (N_COLUMNS, BadMweColumn, Corpus, CuptError,
                           OverlapUnrepresentable, Token, VmweCategory,
                           _check_mwe_rules, corpus_stats, decode_tags,
                           encode_tags, extract_mwes, format_mwe_field,
-                          make_lemma_key, merge_corpora, parse_cupt,
-                          parse_cupt_file, seen_lemma_keys, serialize_corpus,
-                          serialize_sentence, with_instances)
+                          iter_cupt, make_lemma_key, merge_corpora,
+                          parse_cupt, parse_cupt_file, seen_lemma_keys,
+                          serialize_corpus, serialize_sentence, with_instances)
 from conftest import (corpus_of, cupt_text, make_sentence, parse_rows,
                       random_sentence)
 
@@ -339,6 +339,113 @@ class TestParsing:
             path = mweid.fixture_path(name)
             text = open(path, encoding="utf-8").read()
             assert serialize_corpus(parse_cupt(text, source=name)) == text
+
+
+class TestBlockReader:
+    """``iter_cupt`` reads a file PIECE_BYTES bytes at a time. Each test cuts
+    the pieces where a line end, a character or a bad byte crosses two of
+    them, and must give what ``parse_cupt`` of the whole text gives (for a
+    bad byte, what decoding the whole file reports)."""
+
+    RO_TEXT = open(mweid.fixture_path("synthetic_ro.cupt"),
+                   encoding="utf-8").read()
+
+    @staticmethod
+    def read(path, monkeypatch, piece):
+        monkeypatch.setattr(mweid.corpus, "PIECE_BYTES", piece)
+        return _outcome(parse_cupt_file, path)
+
+    @staticmethod
+    def whole_file_outcome(path, data, text=None):
+        """The outcome the file would have if it were read in one piece."""
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            return CuptError, (f"{path}: byte {err.start} "
+                               f"(0x{data[err.start]:02x}) is not UTF-8")
+        return _outcome(parse_cupt, text, source=str(path))
+
+    def check(self, tmp_path, monkeypatch, data, cut):
+        """Read ``data`` with the first piece ending after byte ``cut - 1``,
+        then with a few other piece sizes."""
+        path = tmp_path / "pieces.cupt"
+        path.write_bytes(data)
+        want = self.whole_file_outcome(path, data)
+        for piece in (cut, 1, 2, 3, 7, 64, len(data), 1 << 16):
+            assert self.read(path, monkeypatch, piece) == want, piece
+        return want
+
+    def test_crlf_split_across_two_pieces(self, tmp_path, monkeypatch):
+        data = self.RO_TEXT.replace("\n", "\r\n").encode("utf-8")
+        cut = data.index(b"\r\n") + 1
+        assert data[cut - 1:cut + 1] == b"\r\n"
+        want = self.check(tmp_path, monkeypatch, data, cut)
+        assert serialize_corpus(want) == self.RO_TEXT
+
+    def test_lone_cr_at_the_end_of_a_piece(self, tmp_path, monkeypatch):
+        # Blank lines are "\r\r": a held CR is followed by another CR.
+        data = self.RO_TEXT.replace("\n", "\r").encode("utf-8")
+        cut = data.index(b"\r\r") + 1
+        want = self.check(tmp_path, monkeypatch, data, cut)
+        assert serialize_corpus(want) == self.RO_TEXT
+
+    def test_cr_in_a_field_at_the_end_of_a_piece(self, tmp_path,
+                                                  monkeypatch):
+        data = cupt_text([("a", "a", "1:IR\rV")]).encode("utf-8")
+        want = self.check(tmp_path, monkeypatch, data, data.index(b"\r") + 1)
+        assert want[0] is MalformedLine and want[1].endswith(
+            ":3: expected 11 tab-separated columns, got 1")
+
+    def test_character_split_across_two_pieces(self, tmp_path, monkeypatch):
+        data = self.RO_TEXT.encode("utf-8")
+        cut = data.index("â".encode("utf-8")) + 1
+        want = self.check(tmp_path, monkeypatch, data, cut)
+        assert serialize_corpus(want) == self.RO_TEXT
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3A", b"\xe2\x82"],
+                             ids=["invalid-byte", "bad-continuation",
+                                  "cut-at-the-end"])
+    def test_bad_byte_in_the_second_piece_names_its_offset(
+            self, tmp_path, monkeypatch, bad):
+        data = self.RO_TEXT.encode("utf-8")
+        if bad == b"\xe2\x82":
+            data += bad  # a character cut short by the end of the file
+        else:
+            at = data.index("â".encode("utf-8"))
+            data = data[:at] + bad + data[at + 2:]
+        offset = len(self.RO_TEXT.encode("utf-8")) if bad == b"\xe2\x82" \
+            else data.index(bad)
+        path = tmp_path / "pieces.cupt"
+        want = (CuptError, f"{path}: byte {offset} (0x{bad[0]:02x}) is not "
+                           f"UTF-8")
+        # The bad byte opens the second piece, or its character starts at
+        # the end of the first.
+        for cut in (offset, offset + 1):
+            assert self.check(tmp_path, monkeypatch, data, cut) == want
+
+    def test_bad_byte_after_a_row_fault_is_reported(self, tmp_path,
+                                                    monkeypatch):
+        rows = self.RO_TEXT.encode("utf-8")
+        data = b"1\tonly\tthree\n\n" + rows * 3 + b"\xe9\n"
+        want = self.check(tmp_path, monkeypatch, data, 64)
+        assert want[1].endswith(f"byte {len(data) - 2} (0xe9) is not UTF-8")
+        # Without the bad byte, the row fault stands.
+        assert self.check(tmp_path, monkeypatch, data[:-2], 64)[1].endswith(
+            ":1: expected 11 tab-separated columns, got 3")
+
+    def test_sentences_come_before_the_fault_that_follows_them(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mweid.corpus, "PIECE_BYTES", 64)
+        path = tmp_path / "late.cupt"
+        path.write_text(self.RO_TEXT * 2 + "1\tonly\tthree\n",
+                        encoding="utf-8")
+        sentences = iter_cupt(path, language="RO")
+        first = parse_cupt(self.RO_TEXT, language="RO").sentences
+        assert [next(sentences) for _ in range(10)] == [*first, *first]
+        # The fixture has 47 lines, so the bad row is line 95.
+        with pytest.raises(MalformedLine, match=rf"^{re.escape(str(path))}:"
+                                                r"95: expected 11 "):
+            next(sentences)
 
 
 # CUPT-shaped text: rows of 1-12 tab-separated fields with ids and MWE

@@ -158,6 +158,31 @@ class TestEvaluate:
         with pytest.raises(AlignmentMismatch):
             evaluate(gold, pred, self.train)
 
+    def test_count_mismatch_comes_before_a_tokenization_mismatch(self):
+        gold = corpus_of(make_sentence(["a"]), make_sentence(["b"]))
+        with pytest.raises(AlignmentMismatch,
+                           match="^gold has 2 sentences, predictions have 1$"):
+            evaluate(gold, corpus_of(make_sentence(["x"])), self.train)
+        with pytest.raises(TokenizationMismatch):
+            evaluate(gold, corpus_of(make_sentence(["x"]), make_sentence(["b"])),
+                     self.train)
+
+    def test_a_prediction_parse_fault_waits_for_the_end_of_gold(self):
+        read = []
+
+        def gold():
+            for forms in (["a"], ["b"]):
+                read.append(forms)
+                yield make_sentence(forms)
+
+        def pred():
+            yield make_sentence(["x"])  # its tokens differ, and one is missing
+            raise corpus_mod.MalformedLine("pred.cupt:3: bad row")
+
+        with pytest.raises(corpus_mod.MalformedLine, match="^pred.cupt:3: "):
+            list(evaluation.aligned(gold(), pred()))
+        assert read == [["a"], ["b"]]
+
     def test_monotonicity_spurious_prediction(self):
         gold = corpus_of(make_sentence(["a", "b", "c"], [("VID", [1, 2])]))
         pred_good = corpus_of(make_sentence(["a", "b", "c"], [("VID", [1, 2])]))
@@ -399,11 +424,14 @@ class TestScore:
         pred = [corpus_mod.extract_mwes(make_sentence(
             forms, [("VID", [1, 2]), ("LVC.cause", [3, 4])]))]
         seen = {("gândi", "se")}
-        assert eval_counts(score(gold, pred, seen)) == ((2, 2, 2), (1, 1, 1))
-        assert eval_counts(score(gold, pred, seen, category_sensitive=True)) \
+        assert eval_counts(score(zip(gold, pred), seen)) \
+            == ((2, 2, 2), (1, 1, 1))
+        assert eval_counts(score(zip(gold, pred), seen,
+                                 category_sensitive=True)) \
             == ((2, 2, 1), (1, 1, 1))
-        with pytest.raises(ValueError):
-            score(gold, [], seen)
+        # Equal keys in two sentences count twice: the fold keeps multiplicity.
+        assert eval_counts(score(zip(gold * 2, pred * 2), seen)) \
+            == ((4, 4, 4), (2, 2, 2))
 
     def test_untrained_model_tags_orphans(self, bilingual_corpus):
         model = self.untrained_model(bilingual_corpus)
@@ -427,7 +455,8 @@ class TestScore:
         corpus = self.with_overlap(bilingual_corpus)
         gold = [corpus_mod.extract_mwes(sentence) for sentence in corpus]
         seen = corpus_mod.seen_lemma_keys(ro_corpus)
-        result = score(gold, decoded(model, corpus), seen, category_sensitive)
+        result = score(zip(gold, decoded(model, corpus), strict=True), seen,
+                       category_sensitive)
         assert result.as_dict() == evaluate(
             corpus, evaluation.predict_corpus(model, corpus), ro_corpus,
             category_sensitive).as_dict()
@@ -438,6 +467,6 @@ class TestScore:
         empty = Corpus(sentences=())
         assert model.predict_tags(model.extractor.encode([])) == []
         assert evaluation.predict_corpus(model, empty) == empty
-        result = score([], [], corpus_mod.seen_lemma_keys(ro_corpus))
+        result = score([], corpus_mod.seen_lemma_keys(ro_corpus))
         assert result.as_dict() == evaluate(empty, empty, ro_corpus).as_dict()
         assert result.global_scores == Scores(0, 0, 0)

@@ -139,7 +139,7 @@ class TestUnknownSectionKey:
                                               ("trainer", "epoch")])
     def test_set_names_section_key_and_fields(
             self, tmp_path, capsys, monkeypatch, section, key):
-        monkeypatch.setattr(cli, "parse_cupt_file", refuse_parse)
+        monkeypatch.setattr(cli, "iter_cupt", refuse_parse)
         out = tmp_path / "run"
         assert main(["train", "--train", f"RO={RO}", "--out", str(out),
                      "--set", f"{section}.{key}=3"]) == EXIT_CONFIG
@@ -150,7 +150,7 @@ class TestUnknownSectionKey:
 
     def test_file_names_section_key_and_fields(self, tmp_path, capsys,
                                                monkeypatch):
-        monkeypatch.setattr(cli, "parse_cupt_file", refuse_parse)
+        monkeypatch.setattr(cli, "iter_cupt", refuse_parse)
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"model": {"windw": 3}}))
         assert main(["train", "--config", str(path), "--train", f"RO={RO}",
