@@ -32,7 +32,7 @@ from .corpus import (CuptError, _write_atomic, iter_cupt, seen_lemma_keys,
                      serialize_corpus)
 from .evaluation import (AlignmentMismatch, TokenizationMismatch, aligned,
                          format_table, predict_corpus, score)
-from .model import CheckpointError, ModelConfig, MweTagger
+from .model import CheckpointError, ModelConfig, MweTagger, tag_groups
 from .trainer import TrainerConfig, train
 
 EXIT_OK = 0
@@ -43,8 +43,6 @@ EXIT_ALIGNMENT = 5
 EXIT_GRADCHECK = 6
 
 GRADCHECK_THRESHOLD = 1e-5
-# Token rows that ``mweid tag`` reads, tags and writes at a time.
-GROUP_TOKENS = 4096
 
 
 class CliError(Exception):
@@ -80,20 +78,6 @@ def _read(inputs):
 def _load(inputs) -> corpus_mod.Corpus:
     """One corpus of the inputs' sentences in order."""
     return corpus_mod.Corpus(tuple(_read(inputs)))
-
-
-def _groups(sentences):
-    """The sentences in tuples of at most GROUP_TOKENS token rows (a longer
-    sentence is a group of its own)."""
-    group, rows = [], 0
-    for sentence in sentences:
-        if group and rows + len(sentence) > GROUP_TOKENS:
-            yield tuple(group)
-            group, rows = [], 0
-        group.append(sentence)
-        rows += len(sentence)
-    if group:
-        yield tuple(group)
 
 
 @dataclass(frozen=True)
@@ -254,12 +238,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_tag(args) -> int:
-    """Tag the input GROUP_TOKENS token rows at a time into the output.
-
-    BLAS rounds a row's logits in the last bits by the rows that share its
-    block, so where a token's two highest logits lie within about 1e-15,
-    its tag may differ from that of ``predict_corpus`` over the whole input.
-    """
+    """Tag the input into the output a ``tag_groups`` group at a time: the
+    bytes of ``predict_corpus`` over the whole input."""
     if not Path(args.checkpoint).is_file():
         raise CliError(f"no such checkpoint: {args.checkpoint}")
     output = Path(args.output)
@@ -273,7 +253,7 @@ def cmd_tag(args) -> int:
 
     def write(handle):
         nonlocal tagged
-        for group in _groups(_read(inputs)):
+        for group in tag_groups(_read(inputs)):
             predicted = predict_corpus(model, corpus_mod.Corpus(group))
             handle.write(serialize_corpus(predicted))
             tagged += len(predicted)

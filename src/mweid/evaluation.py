@@ -23,6 +23,7 @@ from typing import Iterable
 
 from .corpus import (Corpus, CuptError, MweInstance, Sentence, decode_tags,
                      extract_mwes, seen_lemma_keys, with_instances)
+from .model import tag_groups
 
 
 class TokenizationMismatch(ValueError):
@@ -198,15 +199,10 @@ def evaluate(gold: Corpus, pred: Corpus, train: Corpus,
 
 def predict_corpus(model, corpus: Corpus) -> Corpus:
     """Rewrite every sentence's MWE column from its decoded tags: one encode
-    and ``model.predict_tags`` over the corpus (ties pick the lowest tag
-    index), and no lemma keys, which only scoring reads.
-
-    BLAS rounds a row's logits in the last bits by the rows that share its
-    block of ``model.predict_tags``, so tagging a corpus in parts may give
-    another tag than tagging it whole where two logits lie within about
-    1e-15.
-    """
-    tags = model.predict_tags(model.extractor.encode(corpus.sentences))
+    and ``model.predict_tags`` per ``tag_groups`` group (ties pick the
+    lowest tag index), and no lemma keys, which only scoring reads."""
+    tags = (tags for group in tag_groups(corpus.sentences)
+            for tags in model.predict_tags(model.extractor.encode(group)))
     return Corpus(sentences=tuple(map(with_instances, corpus,
                                       map(decode_tags, tags))))
 

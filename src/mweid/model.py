@@ -37,10 +37,14 @@ PAD_ID = 0
 UNK_ID = 1
 _RESERVED = ("<pad>", "<unk>")
 
-# Token rows tagged together by MweTagger.predict_tags. Larger blocks save
-# little time, and each block's activations (window ids, hidden rows,
-# logits) grow with its row count, so the bound caps peak memory.
+# Token rows of one forward in MweTagger.predict_tags. A block's activations
+# grow with its rows, so the bound caps peak memory: tagging 30,036 rows in 8
+# groups took 15.3 ms and traced 9.5 MB with one forward per group, and 5.4 ms
+# and 1.2 MB in 512-row blocks (one AMD EPYC thread, OpenBLAS 0.3.31).
 CHUNK_TOKENS = 512
+# Token rows per tag_groups group. Larger groups spread each group's encode,
+# decode and serialize: at most 2,048 rows tagged 2-3% fewer tokens a second.
+GROUP_TOKENS = 4096
 
 CHECKPOINT_FORMAT = "mweid-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -107,6 +111,22 @@ class ModelConfig:
             raise ValueError("seed must be >= 0")
 
     __post_init__ = validate
+
+
+def tag_groups(sentences):
+    """The sentences in tuples of at most GROUP_TOKENS token rows (a longer
+    sentence is a group of its own): the one way a corpus is cut for
+    ``MweTagger.predict_tags``, so its blocks, and the last bits of each
+    logit, depend on the corpus alone. A group regroups to itself."""
+    group, rows = [], 0
+    for sentence in sentences:
+        if group and rows + len(sentence) > GROUP_TOKENS:
+            yield tuple(group)
+            group, rows = [], 0
+        group.append(sentence)
+        rows += len(sentence)
+    if group:
+        yield tuple(group)
 
 
 def build_vocab(corpus: Corpus) -> dict[str, int]:
@@ -358,8 +378,8 @@ class MweTagger:
     def predict_tags(self, batch: Batch) -> list[list[str]]:
         """Each sentence's argmax tags; ties pick the lowest tag index.
 
-        Runs only the extractor and the tag classifier, over at most
-        CHUNK_TOKENS token rows at a time.
+        Runs only the extractor and the tag classifier, over blocks of
+        CHUNK_TOKENS rows counted from the batch's first row.
         """
         tag_ids = []
         for start in range(0, len(batch), CHUNK_TOKENS):

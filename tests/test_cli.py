@@ -10,6 +10,7 @@ import pytest
 
 import mweid
 from mweid import cli
+from mweid import model as model_mod
 from mweid.cli import (EXIT_ALIGNMENT, EXIT_CONFIG, EXIT_GRADCHECK, EXIT_OK,
                        EXIT_PARSE, EXIT_TRAIN, main)
 from mweid.corpus import (_write_atomic, parse_cupt, parse_cupt_file,
@@ -422,8 +423,8 @@ class TestTag:
         assert run(["tag", str(checkpoint), RO, str(single)]) == EXIT_OK
         corpus = tmp_path / "ro150.cupt"
         corpus.write_bytes(open(RO, "rb").read() * 150)
-        for group in (cli.GROUP_TOKENS, 11, 3, 1 << 30):
-            monkeypatch.setattr(cli, "GROUP_TOKENS", group)
+        for group in (model_mod.GROUP_TOKENS, 11, 3, 1 << 30):
+            monkeypatch.setattr(model_mod, "GROUP_TOKENS", group)
             out = tmp_path / f"pred_{group}.cupt"
             capsys.readouterr()
             assert run(["tag", str(checkpoint), str(corpus), str(out)]) \
@@ -446,6 +447,50 @@ class TestTag:
         assert out.read_text() == "kept"
         assert sorted(path.name for path in tmp_path.iterdir()) \
             == ["late.cupt", "pred.cupt", "run"]
+
+    def test_every_caller_tags_the_same_blocks(self, checkpoint, tmp_path,
+                                               monkeypatch):
+        # 3 copies of the fixture (sentences of 6, 5, 6, 7, 7 rows) cut into
+        # groups of 17, 20, 18, 18 and 20 rows at 20, so in 8-row blocks one
+        # group leaves a 1-row block and none ends on a multiple of 8.
+        monkeypatch.setattr(model_mod, "GROUP_TOKENS", 20)
+        monkeypatch.setattr(model_mod, "CHUNK_TOKENS", 8)
+        corpus = tmp_path / "ro3.cupt"
+        corpus.write_bytes(open(RO, "rb").read() * 3)
+        blocks, tagging = [], []
+        predict_tags = model_mod.MweTagger.predict_tags
+        features = model_mod.FeatureExtractor.features
+
+        def recorded_tags(model, batch):
+            tagging.append(True)
+            try:
+                return predict_tags(model, batch)
+            finally:
+                tagging.pop()
+
+        def recorded_features(extractor, batch):
+            if tagging:
+                blocks[-1].append(batch.windows.tolist())
+            return features(extractor, batch)
+
+        monkeypatch.setattr(model_mod.MweTagger, "predict_tags", recorded_tags)
+        monkeypatch.setattr(model_mod.FeatureExtractor, "features",
+                            recorded_features)
+        blocks.append([])
+        assert run(["tag", str(checkpoint), str(corpus),
+                    str(tmp_path / "pred.cupt")]) == EXIT_OK
+        blocks.append([])
+        mweid.predict_corpus(MweTagger.load(checkpoint),
+                             parse_cupt_file(corpus))
+        blocks.append([])
+        train(MweTagger.load(checkpoint),
+              merge_corpora([(parse_cupt_file(RO), "RO")]),
+              parse_cupt_file(corpus), TrainerConfig(epochs=1))
+        tagged, predicted, dev_epoch = blocks
+        assert [len(block) for block in tagged] \
+            == [8, 8, 1, 8, 8, 4, 8, 8, 2, 8, 8, 2, 8, 8, 4]
+        assert predicted == tagged
+        assert dev_epoch == tagged
 
     def test_bad_checkpoint(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -815,7 +860,7 @@ class TestBoundedMemory:
 
     def test_peak_does_not_grow_with_the_input(self, tmp_path, capsys,
                                                monkeypatch):
-        monkeypatch.setattr(cli, "GROUP_TOKENS", 128)
+        monkeypatch.setattr(model_mod, "GROUP_TOKENS", 128)
         monkeypatch.setattr(mweid.corpus, "PIECE_BYTES", 4096)
         checkpoint = tmp_path / "model.json"
         MweTagger.build(ModelConfig(), merge_corpora([(parse_cupt_file(RO),

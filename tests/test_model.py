@@ -246,6 +246,37 @@ class TestPredict:
             model.discriminator.language_id("DE")
 
 
+class TestTagGroups:
+    @staticmethod
+    def row_counts(lengths, group_tokens, monkeypatch):
+        """The row count of each sentence of each group, at group_tokens."""
+        monkeypatch.setattr(model_mod, "GROUP_TOKENS", group_tokens)
+        sentences = [make_sentence(["x"] * n) for n in lengths]
+        return [[len(s) for s in group]
+                for group in model_mod.tag_groups(sentences)]
+
+    def test_no_sentences_give_no_group(self):
+        assert list(model_mod.tag_groups([])) == []
+
+    def test_a_longer_sentence_is_a_group_of_its_own(self, monkeypatch):
+        assert self.row_counts([2, 7, 1, 9], 5, monkeypatch) \
+            == [[2], [7], [1], [9]]
+
+    def test_a_group_that_fills_the_bound_closes_there(self, monkeypatch):
+        assert self.row_counts([2, 3, 1, 4, 5], 5, monkeypatch) \
+            == [[2, 3], [1, 4], [5]]
+
+    def test_each_group_regroups_to_itself(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "GROUP_TOKENS", 20)
+        rng = np.random.default_rng(4)
+        sentences = [random_sentence(rng, sent_id=f"r{i}") for i in range(60)]
+        groups = list(model_mod.tag_groups(sentences))
+        assert [s for group in groups for s in group] == sentences
+        assert len(groups) > 5 and any(len(g) > 1 for g in groups)
+        for group in groups:
+            assert list(model_mod.tag_groups(group)) == [group]
+
+
 class TestCheckpoint:
     def test_save_load_reproduces_predictions_bitwise(self, tiny_corpus,
                                                       tmp_path):
