@@ -15,7 +15,7 @@ adding them in order of occurrence as ``np.add.at`` does, so its sums
 are bitwise those of the dense adjoint.
 
 Broadcasting is deliberately restricted to a trailing-axis vector
-(bias-style) in add/mul; everything else requires exact shapes.
+(bias-style) in add; everything else requires exact shapes.
 """
 
 from __future__ import annotations
@@ -170,32 +170,23 @@ def transpose(x: Tensor) -> Tensor:
     return _node(x.data.T, ((x, lambda g: g.T),), "transpose")
 
 
-def _broadcast_pair(a: Tensor, b: Tensor, op: str):
-    """Allow identical shapes, or b a vector broadcast over a's rows."""
-    if a.shape == b.shape:
-        return None
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        return "rows"
-    raise ShapeMismatch(f"{op}: shapes {a.shape} and {b.shape}")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    mode = _broadcast_pair(a, b, "add")
-    if mode is None:
+    """Identical shapes, or b a vector broadcast over a's rows."""
+    if a.shape == b.shape:
         vjp_b = lambda g: g
-    else:
+    elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
         vjp_b = lambda g: g.sum(axis=0)
+    else:
+        raise ShapeMismatch(f"add: shapes {a.shape} and {b.shape}")
     return _node(a.data + b.data, ((a, lambda g: g), (b, vjp_b)), "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    mode = _broadcast_pair(a, b, "mul")
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"mul: shapes {a.shape} and {b.shape}")
     a_data, b_data = a.data, b.data
-    if mode is None:
-        vjp_b = lambda g: g * a_data
-    else:
-        vjp_b = lambda g: (g * a_data).sum(axis=0)
-    return _node(a_data * b_data, ((a, lambda g: g * b_data), (b, vjp_b)), "mul")
+    return _node(a_data * b_data,
+                 ((a, lambda g: g * b_data), (b, lambda g: g * a_data)), "mul")
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
@@ -343,7 +334,9 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for parent, _ in node.vjps:
-            if id(parent) not in visited:
+            # A constant (a leaf that is not a Parameter) gets no adjoint.
+            if id(parent) not in visited and (
+                    parent.vjps or isinstance(parent, Parameter)):
                 stack.append((parent, False))
     return order
 
@@ -363,9 +356,7 @@ def backward(loss: Tensor) -> None:
         raise NotScalarLoss(f"loss has shape {loss.shape}, expected a scalar")
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(_topo_order(loss)):
-        adjoint = adjoints.pop(id(node), None)
-        if adjoint is None:  # a constant: nothing was routed to it
-            continue
+        adjoint = adjoints.pop(id(node))
         if not node.vjps:
             if isinstance(node, Parameter):
                 node.accumulate(adjoint)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import shutil
 import sys
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -219,13 +218,10 @@ def cmd_train(args) -> int:
     # Written only now, so a failed run leaves the directory as it was.
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "config.json", _json_text(asdict(run)))
-    model.save(out_dir / "checkpoint.json")
+    final = model.save(out_dir / "checkpoint.json")
     if report.best_epoch == len(report.epochs):
-        # The final state is the best one: copy its bytes, not re-encode them.
-        with open(out_dir / "checkpoint.json", encoding="utf-8",
-                  newline="") as final:
-            _write_atomic(out_dir / "checkpoint_best.json",
-                          lambda handle: shutil.copyfileobj(final, handle))
+        # The final state is the best one: write its text, not re-encode it.
+        _write_text(out_dir / "checkpoint_best.json", final)
     elif report.best_state is not None:
         model.load_state_arrays(report.best_state)
         model.save(out_dir / "checkpoint_best.json")
@@ -267,21 +263,18 @@ def cmd_eval(args) -> int:
     if args.report:
         _check_output_file(Path(args.report), force=True)
     gold, pred, *train = _inputs([args.gold, args.pred, *args.train])
-    # Faults are reported as a read of gold, then predictions, then
-    # training would meet them, and before an alignment mismatch: the
-    # training fault is held while gold and predictions are scored.
+
+    def seen():
+        # Read only once gold and predictions are, so that faults come in
+        # the order of whole reads of gold, predictions, then training.
+        yield from seen_lemma_keys(_read(train))
+
     try:
-        seen, train_fault = seen_lemma_keys(_read(train)), None
-    except CuptError as err:
-        seen, train_fault = set(), err
-    try:
-        result = score(aligned(_read([gold]), _read([pred])), seen,
+        result = score(aligned(_read([gold]), _read([pred])), seen(),
                        args.category_sensitive)
     except (AlignmentMismatch, TokenizationMismatch) as err:
-        if train_fault is None:
-            raise CliError(f"alignment error: {err}", EXIT_ALIGNMENT) from err
-    if train_fault is not None:
-        raise train_fault
+        seen_lemma_keys(_read(train))  # a training fault comes first
+        raise CliError(f"alignment error: {err}", EXIT_ALIGNMENT) from err
     print(format_table(result, label=args.label))
     if args.report:
         _write_text(args.report, _json_text(result.as_dict()))

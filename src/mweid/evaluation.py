@@ -121,12 +121,14 @@ def _pair(gold_instances: list[MweInstance], pred_instances: list[MweInstance],
     return pairs
 
 
-def score(pairs, seen: set, category_sensitive: bool = False) -> EvalResult:
+def score(pairs, seen: Iterable,
+          category_sensitive: bool = False) -> EvalResult:
     """Fold one (gold instances, predicted instances) pair per sentence into
     Counters of the lemma keys of gold, predicted and matched instances (a
     match counted by its gold instance), so memory grows with the distinct
     keys, not the sentences. The unseen side is read off at the end: the
-    keys not in ``seen``."""
+    keys not in ``seen``, an iterable of the seen keys that is read only
+    after the last pair."""
     gold, predicted, matched = Counter(), Counter(), Counter()
     for gold_instances, pred_instances in pairs:
         if gold_instances:
@@ -136,6 +138,7 @@ def score(pairs, seen: set, category_sensitive: bool = False) -> EvalResult:
             if gold_instances:
                 matched.update(g.lemma_key for g, _ in _pair(
                     gold_instances, pred_instances, category_sensitive))
+    seen = set(seen)
 
     def unseen(counts: Counter) -> int:
         return sum(n for key, n in counts.items() if key not in seen)

@@ -413,8 +413,9 @@ class MweTagger:
                     f"match model shape {param.data.shape}")
             param.data[...] = value
 
-    def save(self, path) -> None:
-        """Write a version-2 JSON checkpoint, atomically.
+    def save(self, path) -> str:
+        """Write a version-2 JSON checkpoint, atomically, and return the
+        text written.
 
         Each parameter's values are stored as their exact little-endian
         float64 bytes, so reloading reproduces predictions bitwise. A
@@ -436,8 +437,9 @@ class MweTagger:
             "parameters": {p.name: {"shape": list(p.data.shape),
                                     "data": _base64_chunks(p.data)}
                            for p in params},
-        }, allow_nan=False)
-        _write_atomic(path, lambda handle: handle.write(text + "\n"))
+        }, allow_nan=False) + "\n"
+        _write_atomic(path, lambda handle: handle.write(text))
+        return text
 
     @classmethod
     def load(cls, path) -> "MweTagger":

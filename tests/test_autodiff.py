@@ -44,6 +44,11 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             ad.add(ad.tensor(np.ones((2, 2))), ad.tensor(np.ones(3)))
 
+    def test_mul_requires_equal_shapes(self):
+        with pytest.raises(ShapeMismatch,
+                           match=r"mul: shapes \(2, 3\) and \(3,\)"):
+            ad.mul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones(3)))
+
     def test_mean_axis0_keeps_matrix(self):
         out = ad.mean(ad.tensor([[1.0, 3.0], [3.0, 5.0]]), axis=0)
         assert out.shape == (1, 2)
@@ -347,6 +352,25 @@ class TestFastPathsMatchReferences:
         for fast, slow in zip(params, reference_params):
             assert fast.grad.any(), fast.name
             assert np.array_equal(bits(fast.grad), bits(slow.grad)), fast.name
+
+    def test_topo_order_lists_no_constant_but_the_root(self):
+        # The graph of test_backward_skips_constants_with_equal_gradients.
+        rng = np.random.default_rng(33)
+        const = ad.tensor(rng.standard_normal((3, 4)))
+        shared = ad.tensor(rng.standard_normal(4))
+        w = param(rng.standard_normal((4, 2)), "w")
+        v = param(rng.standard_normal((3, 4)), "v")
+        hidden = ad.relu(ad.add(ad.mul(v, const), shared))
+        left = ad.matmul(const, ad.transpose(v))
+        right = ad.matmul(ad.add(hidden, ad.mul(hidden, const)), w)
+        mixed = ad.concat([right, ad.matmul(left, const), const])
+        loss = ad.sum_all(ad.sigmoid(mixed))
+        order = ad._topo_order(loss)
+        assert order[-1] is loss
+        assert {id(w), id(v)} <= {id(node) for node in order}
+        assert all(node.vjps or isinstance(node, Parameter) for node in order)
+        root = ad.tensor(2.0)
+        assert ad._topo_order(root) == [root]
 
     def test_scalar_results_are_0d_arrays(self):
         x = param([[1.0, -2.0], [0.5, 3.0]])

@@ -222,7 +222,7 @@ class TestTrain:
 
         def counting_save(model, path):
             saved.append(path)
-            save(model, path)
+            return save(model, path)
 
         monkeypatch.setattr(MweTagger, "save", counting_save)
         out = tmp_path / "run"
@@ -616,6 +616,29 @@ class TestEval:
             == f"error: {message.format(**paths)}\n"
         assert not report.exists()
 
+    @pytest.mark.parametrize("pred, code", [(RO, EXIT_OK),
+                                            (FR, EXIT_ALIGNMENT)],
+                             ids=["aligned", "mismatch"])
+    def test_training_is_read_after_gold_and_predictions(
+            self, tmp_path, monkeypatch, capsys, pred, code):
+        reads = []
+        iter_cupt = cli.iter_cupt
+
+        def logged(path, language=None):
+            for sentence in iter_cupt(path, language):
+                reads.append(path)
+                yield sentence
+
+        monkeypatch.setattr(cli, "iter_cupt", logged)
+        train = tmp_path / "train.cupt"
+        with open(RO, "rb") as fixture:
+            train.write_bytes(fixture.read())
+        assert run(["eval", str(RO), str(pred),
+                    "--train", f"RO={train}"]) == code
+        first_train = reads.index(str(train))
+        assert {str(RO), str(pred)} == set(reads[:first_train])
+        assert set(reads[first_train:]) == {str(train)}
+
 
 class TestGradcheck:
     def test_default_run_passes(self, capsys):
@@ -699,6 +722,34 @@ class TestInputsCheckedFirst:
         assert run([arg.format(**names) for arg in argv]) == EXIT_CONFIG
         assert capsys.readouterr().err \
             == f"error: {message.format(**names)}\n"
+        assert not (tmp_path / "o").exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--train", f"RO={RO}", "--out", "{tmp}/o",
+          "--set", "trainer.alpha"],
+         "--set needs key=value, got 'trainer.alpha'"),
+        (["train", "--train", f"RO={RO}", "--out", "{tmp}/o",
+          "--set", "out_dir.x=1"],
+         "--set out_dir.x: out_dir is not a section"),
+        (["train", "--out", "{tmp}/o"],
+         "no training files given (config 'train' or --train)"),
+        (["train", "--train", f"RO={RO}"],
+         "no output directory given (config 'out_dir' or --out)"),
+        (["train", "--config", "{tmp}/missing.json", "--train", f"RO={RO}",
+          "--out", "{tmp}/o"], "no such config file: {tmp}/missing.json"),
+        (["tag", "{tmp}/missing.json", f"RO={RO}", "{tmp}/o"],
+         "no such checkpoint: {tmp}/missing.json"),
+    ], ids=["set-without-equals", "set-through-a-value", "no-train",
+            "no-out", "missing-config", "missing-checkpoint"])
+    def test_message_and_exit_2_before_any_input_is_read(
+            self, tmp_path, capsys, monkeypatch, argv, message):
+        _refuse_reading(monkeypatch)
+        monkeypatch.setattr(cli.MweTagger, "load", _refuse_work)
+        assert run([arg.format(tmp=tmp_path) for arg in argv]) == EXIT_CONFIG
+        assert capsys.readouterr().err \
+            == f"error: {message.format(tmp=tmp_path)}\n"
         assert not (tmp_path / "o").exists()
 
 

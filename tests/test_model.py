@@ -245,6 +245,13 @@ class TestPredict:
         with pytest.raises(UnknownLanguage):
             model.discriminator.language_id("DE")
 
+    def test_language_without_a_discriminator_raises(self, tiny_corpus):
+        model = MweTagger.build(small_config(use_adversarial=False),
+                                tiny_corpus)
+        with pytest.raises(UnknownLanguage,
+                           match="model has no language discriminator"):
+            model.predict_language(tiny_corpus.sentences[0])
+
 
 class TestTagGroups:
     @staticmethod
@@ -295,6 +302,21 @@ class TestCheckpoint:
         MweTagger.build(small_config(seed=4), tiny_corpus).save(a)
         MweTagger.build(small_config(seed=4), tiny_corpus).save(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_save_returns_the_text_it_wrote(self, tiny_corpus, tmp_path):
+        path = tmp_path / "model.json"
+        text = MweTagger.build(small_config(), tiny_corpus).save(path)
+        assert text.encode("utf-8") == path.read_bytes()
+
+    def test_parameters_not_an_object_rejected(self, tiny_corpus, tmp_path):
+        path = tmp_path / "model.json"
+        MweTagger.build(small_config(), tiny_corpus).save(path)
+        payload = json.loads(path.read_text())
+        payload["parameters"] = list(payload["parameters"].items())
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError,
+                           match="^parameters must be an object$"):
+            MweTagger.load(path)
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

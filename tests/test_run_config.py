@@ -130,6 +130,16 @@ class TestPrecedence:
                      "--out", str(out)]) == EXIT_OK
         assert written_config(out)["train"] == [f"RO={RO}", f"FR={FR}"]
 
+    def test_a_value_that_is_not_json_is_a_string(self, tmp_path):
+        bare, quoted = tmp_path / "bare", tmp_path / "quoted"
+        for value, out in (("dann_ramp", bare), ('"dann_ramp"', quoted)):
+            assert main(["train", "--train", f"RO={RO}", "--out", str(out),
+                         "--epochs", "1", "--set",
+                         f"trainer.lambda_schedule={value}"]) == EXIT_OK
+        config = written_config(bare)
+        assert config["trainer"]["lambda_schedule"] == "dann_ramp"
+        assert config == {**written_config(quoted), "out_dir": str(bare)}
+
 
 class TestUnknownSectionKey:
     KNOWN = {"model": ", ".join(asdict(ModelConfig())),

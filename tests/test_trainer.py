@@ -60,6 +60,10 @@ class TestLambdaSchedule:
         with pytest.raises(ValueError):
             lambda_at("constant", 1.5, 1.0)
 
+    def test_unknown_schedule(self):
+        with pytest.raises(ValueError, match="unknown schedule 'cosine'"):
+            lambda_at("cosine", 0.5, 1.0)
+
 
 class TestTrainStep:
     def test_empty_batch(self):
@@ -73,6 +77,14 @@ class TestTrainStep:
         alien = make_sentence(["was", "ist"], language="DE")
         with pytest.raises(UnknownLanguage):
             train_step(model, [alien], 0.1)
+
+    def test_gold_tag_outside_the_tagset(self):
+        model = build(training_corpus())
+        alien = make_sentence(["ana", "cauza"], [("LVC.cause", [1, 2])],
+                              language="RO")
+        with pytest.raises(ValueError, match="gold tag 'B-LVC.cause' not in "
+                           "the model tagset"):
+            gold_tag_ids(model, alien)
 
     def test_losses_are_finite_and_positive(self):
         corpus = training_corpus()
