@@ -195,10 +195,10 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows: 1/(1+e^-x) where x >= 0, e^x/(1+e^x) else.
+    # exp(-|x|) never overflows: 1/(1+e^-x) where x >= 0, e^x/(1+e^x) else;
+    # e <= 1, so the numerator max(e, x >= 0) is 1 or e without a select.
     e = np.exp(-np.abs(x))
-    denominator = 1.0 + e
-    return np.where(x >= 0, 1.0 / denominator, e / denominator)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def sigmoid(x: Tensor) -> Tensor:

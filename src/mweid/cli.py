@@ -15,8 +15,12 @@ file loads with current defaults). Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import pickle
+import signal
 import sys
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -259,22 +263,94 @@ def cmd_tag(args) -> int:
     return EXIT_OK
 
 
+def _can_fork() -> bool:
+    """Whether ``os.fork`` exists and this process runs one OS thread (one
+    entry in ``/proc/self/task``): a child forked from a threaded process
+    may wait forever on a lock that another thread held."""
+    try:
+        return hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _send_seen_keys(train, read_end: int, write_end: int):
+    """The forked child: pickle ``seen_lemma_keys`` of the training inputs,
+    or the exception that reading them raised, into the pipe. It leaves by
+    ``os._exit`` on every path, an interrupt included, so it never returns
+    into its caller."""
+    status = 1
+    try:
+        os.close(read_end)
+        try:
+            result = seen_lemma_keys(_read(train))
+        except Exception as err:
+            result = err
+        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+@contextlib.contextmanager
+def _seen_keys(train):
+    """Yield a function that returns ``seen_lemma_keys`` of the training
+    inputs. Where ``_can_fork``, a forked child reads them from now on, while
+    the caller reads gold and predictions; the function waits for its
+    result and raises the exception the read met, or a RuntimeError naming
+    the exit status of a child that ended without a result. Elsewhere the
+    function reads them itself. On the way out a child still running is
+    killed, and every child is reaped."""
+    if not _can_fork():
+        yield lambda: seen_lemma_keys(_read(train))
+        return
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _send_seen_keys(train, read_end, write_end)
+    os.close(write_end)
+    status = None
+
+    def result():
+        nonlocal status
+        data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:
+            raise RuntimeError(f"the child reading the training corpora "
+                               f"ended without a result, exit status {status}")
+        keys = pickle.loads(data)
+        if isinstance(keys, Exception):
+            raise keys
+        return keys
+
+    with open(read_end, "rb") as pipe:
+        try:
+            yield result
+        finally:
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def cmd_eval(args) -> int:
     if args.report:
         _check_output_file(Path(args.report), force=True)
     gold, pred, *train = _inputs([args.gold, args.pred, *args.train])
 
-    def seen():
-        # Read only once gold and predictions are, so that faults come in
-        # the order of whole reads of gold, predictions, then training.
-        yield from seen_lemma_keys(_read(train))
+    with _seen_keys(train) as seen_keys:
+        def seen():
+            # Taken only once gold and predictions are read, so that faults
+            # come in the order of whole reads of gold, predictions, then
+            # training.
+            yield from seen_keys()
 
-    try:
-        result = score(aligned(_read([gold]), _read([pred])), seen(),
-                       args.category_sensitive)
-    except (AlignmentMismatch, TokenizationMismatch) as err:
-        seen_lemma_keys(_read(train))  # a training fault comes first
-        raise CliError(f"alignment error: {err}", EXIT_ALIGNMENT) from err
+        try:
+            result = score(aligned(_read([gold]), _read([pred])), seen(),
+                           args.category_sensitive)
+        except (AlignmentMismatch, TokenizationMismatch) as err:
+            seen_keys()  # a training fault comes first
+            raise CliError(f"alignment error: {err}", EXIT_ALIGNMENT) from err
     print(format_table(result, label=args.label))
     if args.report:
         _write_text(args.report, _json_text(result.as_dict()))

@@ -321,7 +321,7 @@ class TestFastPathsMatchReferences:
                             1e308, -1e308, np.inf, -np.inf])
         spread = rng.standard_normal(990) * 10.0 ** rng.integers(-4, 4, 990)
         for x in (special, spread.reshape(30, 33),
-                  np.concatenate([special, spread])):
+                  np.concatenate([special, spread]), *map(np.array, special)):
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 fast = ad._expit(x)
             assert fast.shape == x.shape

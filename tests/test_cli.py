@@ -2,7 +2,9 @@
 
 import gc
 import json
+import os
 import re
+import signal
 import tracemalloc
 
 import numpy as np
@@ -35,6 +37,50 @@ def _refuse_work(*args, **kwargs):
 def _refuse_reading(monkeypatch):
     """Make the CLI's corpus reader refuse to run."""
     monkeypatch.setattr(cli, "iter_cupt", _refuse_work)
+
+
+def _watch_forks(monkeypatch):
+    """The pids of the children ``os.fork`` makes from now on."""
+    pids, fork = [], os.fork
+
+    def watched():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", watched)
+    return pids
+
+
+def _reaped(pid) -> bool:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def eval_both_ways(monkeypatch, capsys, argv, report=None):
+    """Run ``mweid eval <argv>`` with the training corpora read in a forked
+    child, then in-process; check that the first forked one child and reaped
+    it, the second forked none, and both gave the same exit code, stdout,
+    stderr and report bytes (None for no report); return those."""
+    outcomes = []
+    for forked in (True, False):
+        with monkeypatch.context() as patch:
+            pids = _watch_forks(patch)
+            if not forked:
+                patch.setattr(cli, "_can_fork", lambda: False)
+            code = run(["eval", *map(str, argv)])
+        assert len(pids) == forked and all(map(_reaped, pids))
+        written = report is not None and report.exists()
+        outcomes.append((code, *capsys.readouterr(),
+                         report.read_bytes() if written else None))
+        if written:
+            report.unlink()
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
 
 
 def train_args(out, epochs=3, extra=()):
@@ -527,13 +573,14 @@ class TestTag:
 
 
 class TestEval:
-    def test_gold_vs_gold_and_report(self, tmp_path, capsys):
+    def test_gold_vs_gold_and_report(self, tmp_path, capsys, monkeypatch):
         report = tmp_path / "report.json"
-        assert run(["eval", RO, RO, "--train", f"RO={RO}",
-                    "--report", str(report)]) == EXIT_OK
-        table = capsys.readouterr().out
+        code, table, _, written = eval_both_ways(
+            monkeypatch, capsys, [RO, RO, "--train", f"RO={RO}", "--report",
+                                  report], report)
+        assert code == EXIT_OK
         assert "100.00" in table
-        payload = json.loads(report.read_text())
+        payload = json.loads(written)
         assert payload["global"]["f1"] == 100.0
         assert payload["unseen"]["gold"] == 0
 
@@ -610,11 +657,10 @@ class TestEval:
             paths[name].write_bytes(data)
         assert len(texts["bytes"]) - 2 == 3965
         report = tmp_path / "report.json"
-        assert run(["eval", str(paths[gold]), str(paths[pred]), "--train",
-                    str(paths[train]), "--report", str(report)]) == code
-        assert capsys.readouterr().err \
-            == f"error: {message.format(**paths)}\n"
-        assert not report.exists()
+        assert eval_both_ways(
+            monkeypatch, capsys, [paths[gold], paths[pred], "--train",
+                                  paths[train], "--report", report], report) \
+            == (code, "", f"error: {message.format(**paths)}\n", None)
 
     @pytest.mark.parametrize("pred, code", [(RO, EXIT_OK),
                                             (FR, EXIT_ALIGNMENT)],
@@ -633,11 +679,59 @@ class TestEval:
         train = tmp_path / "train.cupt"
         with open(RO, "rb") as fixture:
             train.write_bytes(fixture.read())
-        assert run(["eval", str(RO), str(pred),
-                    "--train", f"RO={train}"]) == code
+        assert eval_both_ways(monkeypatch, capsys,
+                              [RO, pred, "--train", f"RO={train}"])[0] == code
+        # A forked child's reads are not logged here: the first training
+        # read is the in-process run's, and this process read none before.
         first_train = reads.index(str(train))
         assert {str(RO), str(pred)} == set(reads[:first_train])
         assert set(reads[first_train:]) == {str(train)}
+
+    @pytest.mark.parametrize("end, status", [
+        (lambda: os._exit(1), 1),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    ], ids=["exit-1", "sigkill"])
+    def test_a_child_without_a_result_fails_loudly(
+            self, tmp_path, monkeypatch, capsys, end, status):
+        parent = os.getpid()
+
+        def end_the_child(train):
+            if os.getpid() == parent:  # ``end`` would end this process
+                raise AssertionError("training was read in this process")
+            end()
+
+        monkeypatch.setattr(cli, "seen_lemma_keys", end_the_child)
+        report = tmp_path / "report.json"
+        with pytest.raises(RuntimeError, match=f"exit status {status}$"):
+            run(["eval", RO, RO, "--train", RO, "--report", str(report)])
+        assert capsys.readouterr().out == ""
+        assert not report.exists()
+
+    @pytest.mark.parametrize("picklable", [True, False],
+                             ids=["sent", "unpicklable"])
+    def test_an_exception_in_the_child_ends_the_child(
+            self, tmp_path, monkeypatch, capsys, picklable):
+        class Planted(Exception):  # a local class does not pickle
+            pass
+
+        planted = ValueError("planted") if picklable else Planted("planted")
+        parent, log = os.getpid(), tmp_path / "after_run.log"
+
+        def fail(train):
+            assert os.getpid() != parent, "training was read in this process"
+            raise planted
+
+        monkeypatch.setattr(cli, "seen_lemma_keys", fail)
+        with pytest.raises(ValueError if picklable else RuntimeError,
+                           match="planted" if picklable else "exit status 1$"):
+            try:
+                run(["eval", RO, RO, "--train", RO])
+            finally:
+                with open(log, "a") as handle:
+                    handle.write(f"{os.getpid()}\n")
+                if os.getpid() != parent:  # a child that got this far
+                    os._exit(0)
+        assert log.read_text() == f"{parent}\n"
 
 
 class TestGradcheck:
