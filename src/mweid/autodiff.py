@@ -2,17 +2,16 @@
 
 Each operation builds a Tensor node holding its forward value and the
 vector-Jacobian products that route adjoints to its inputs. backward()
-walks the graph once in reverse topological order, accumulating
-gradients into Parameter leaves; the graph itself is ephemeral (rebuilt
-by every forward pass), so repeated backward calls over shared
-subgraphs simply sum their contributions. No adjoint is computed for a
-constant, a leaf that is not a Parameter. A Parameter allocates its
-value and gradient arrays once and writes both in place, only in the
-rows it names: an embedding lookup hands its table a RowSparse adjoint
-that names the rows a step used, any other adjoint names them all. A
-RowSparse adjoint sums the rows of each id with one ``np.bincount``,
-adding them in order of occurrence as ``np.add.at`` does, so its sums
-are bitwise those of the dense adjoint.
+walks the interior nodes once in reverse topological order: it sums
+their adjoints, adds each contribution into a Parameter leaf straight
+into its gradient, and computes none for a constant (a leaf that is not
+a Parameter). The graph is rebuilt by every forward pass. A Parameter
+allocates its value and gradient arrays once and writes both in place,
+only in the rows it names: an embedding lookup hands a Parameter table
+a RowSparse adjoint that names the rows a step used, any other adjoint
+names them all. A RowSparse adjoint sums the rows of each id with one
+``np.bincount``, adding them in order of occurrence as ``np.add.at``
+does, so its sums are bitwise those of the dense adjoint.
 
 Broadcasting is deliberately restricted to a trailing-axis vector
 (bias-style) in add; everything else requires exact shapes.
@@ -128,10 +127,6 @@ class RowSparse:
                            minlength=len(ids) * width)
         # bincount gives integers when there is nothing to count.
         return ids, sums.astype(np.float64, copy=False).reshape(len(ids), width)
-
-
-def _dense(adjoint) -> np.ndarray:
-    return adjoint.dense() if isinstance(adjoint, RowSparse) else adjoint
 
 
 def tensor(data) -> Tensor:
@@ -270,9 +265,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
             f"[{ids.min()}, {ids.max()}]")
     flat = ids.reshape(-1)
     out_shape = (len(ids), width * (ids.shape[1] if ids.ndim == 2 else 1))
+    sparse = isinstance(table, Parameter)  # the walk sums dense adjoints
 
     def vjp(g):
-        return RowSparse(flat, g.reshape(flat.size, width), (vocab, width))
+        adjoint = RowSparse(flat, g.reshape(flat.size, width), (vocab, width))
+        return adjoint if sparse else adjoint.dense()
 
     return _node(table.data[flat].reshape(out_shape), ((table, vjp),),
                  "embedding")
@@ -321,6 +318,7 @@ def grad_reverse(x: Tensor, lam: float) -> Tensor:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
+    """``root`` and the interior nodes it reaches, each after its inputs."""
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -334,9 +332,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for parent, _ in node.vjps:
-            # A constant (a leaf that is not a Parameter) gets no adjoint.
-            if id(parent) not in visited and (
-                    parent.vjps or isinstance(parent, Parameter)):
+            if parent.vjps and id(parent) not in visited:
                 stack.append((parent, False))
     return order
 
@@ -344,35 +340,31 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(param) into every Parameter the loss reaches.
 
-    ``loss`` must hold a single value. Adjoints of interior nodes live
-    only for the duration of the walk, so backpropagating two losses
-    that share a subgraph gives the same parameter gradients as
-    backpropagating their sum. No vjp that routes into a constant (a
-    leaf that is not a Parameter) is called. A RowSparse adjoint stays
-    sparse until it meets another adjoint or reaches a node that is not
-    a leaf.
+    ``loss`` must hold a single value. An interior node's adjoint sums
+    its contributions and lives for the duration of the walk. A
+    contribution into a Parameter goes straight into its gradient G, in
+    walk order: x then y make it ``(G + x) + y``, not ``G + (x + y)``,
+    which is bitwise ``x + y`` after ``zero_grad`` but may differ in the
+    last bits on a second backward without it. No vjp into a constant (a
+    leaf that is not a Parameter) is called. Backpropagating two losses
+    that share a subgraph sums their parameter gradients.
     """
     if loss.data.size != 1:
         raise NotScalarLoss(f"loss has shape {loss.shape}, expected a scalar")
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    if isinstance(loss, Parameter):
+        loss.accumulate(adjoints[id(loss)])
     for node in reversed(_topo_order(loss)):
         adjoint = adjoints.pop(id(node))
-        if not node.vjps:
-            if isinstance(node, Parameter):
-                node.accumulate(adjoint)
-            continue
-        if type(adjoint) is RowSparse:
-            adjoint = adjoint.dense()
         for parent, vjp in node.vjps:
-            if not parent.vjps and not isinstance(parent, Parameter):
-                continue
-            contribution = vjp(adjoint)
-            key = id(parent)
-            previous = adjoints.get(key)
-            if previous is None:
-                adjoints[key] = contribution
-            else:
-                adjoints[key] = _dense(previous) + _dense(contribution)
+            if parent.vjps:
+                contribution = vjp(adjoint)
+                key = id(parent)
+                previous = adjoints.get(key)
+                adjoints[key] = contribution if previous is None \
+                    else previous + contribution
+            elif isinstance(parent, Parameter):
+                parent.accumulate(vjp(adjoint))
 
 
 def zero_grads(params) -> None:

@@ -85,7 +85,10 @@ def check_fields(config) -> None:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Model settings, checked when made; ``dataclasses.replace`` checks again."""
+    """Model settings, checked when made; ``dataclasses.replace`` checks again.
+
+    ``lam`` is only the default of library calls to ``MweTagger.forward``
+    and ``train_step``: ``mweid train`` always passes ``TrainerConfig.lam``."""
     embedding_dim: int = 16
     window: int = 1
     hidden_dim: int = 32
@@ -363,8 +366,8 @@ class MweTagger:
 
         The batch's n token rows pass through each layer together, and
         mean pooling gives one language-logit row per sentence. The
-        reversal coefficient, by default ``config.lam``, shapes gradients
-        only, not forward values.
+        reversal coefficient, by default ``config.lam`` (``train`` always
+        passes one), shapes gradients only, not forward values.
         """
         features = self.extractor.features(batch)
         tag_logits = self.classifier.logits(features)

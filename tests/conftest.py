@@ -58,22 +58,38 @@ def dense_lookup(table, ids):
 
 
 def reference_backward(loss):
-    """``ad.backward`` as it was before constants were skipped: every vjp
-    of the tape is called, the adjoints of constant leaves included, and
-    those adjoints are then dropped. The reference for the walk."""
+    """``ad.backward`` as it was before contributions went straight into
+    gradients: every vjp of the tape is called, the ones into constant
+    leaves included, and every node's contributions, a Parameter's too,
+    are summed in walk order (densified when two meet). Each Parameter
+    then gets its sum added once; constants' sums are dropped. The
+    reference for the walk."""
+    def dense(adjoint):
+        return adjoint.dense() if isinstance(adjoint, ad.RowSparse) else adjoint
+
+    # The depth-first walk ad._topo_order makes, with every leaf in it.
+    order, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in visited:
+            visited.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent, _ in node.vjps
+                         if id(parent) not in visited)
     adjoints = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(ad._topo_order(loss)):
+    for node in reversed(order):
         adjoint = adjoints.pop(id(node))
         if not node.vjps:
             if isinstance(node, ad.Parameter):
                 node.accumulate(adjoint)
             continue
-        adjoint = ad._dense(adjoint)
         for parent, vjp in node.vjps:
             contribution = vjp(adjoint)
             key = id(parent)
             if key in adjoints:
-                adjoints[key] = ad._dense(adjoints[key]) + ad._dense(contribution)
+                adjoints[key] = dense(adjoints[key]) + dense(contribution)
             else:
                 adjoints[key] = contribution
 

@@ -1,5 +1,7 @@
 """Autodiff core: forward semantics, adjoints, gradient checking."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,26 @@ class TestForward:
     def test_cross_entropy_label_bounds(self):
         with pytest.raises(ShapeMismatch):
             ad.softmax_cross_entropy(ad.tensor([[0.0, 0.0]]), [2])
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ad.transpose(ad.tensor([1.0, 2.0])),
+         "transpose expects a 2-d tensor, got shape (2,)"),
+        (lambda: ad.mean(ad.tensor([[1.0]]), axis=1),
+         "mean supports only axis=None or axis=0"),
+        (lambda: ad.concat([]), "concat of zero tensors"),
+        (lambda: ad.concat([ad.tensor(np.zeros((2, 1))),
+                            ad.tensor(np.zeros((3, 1)))]),
+         "concat: row counts differ: [(2, 1), (3, 1)]"),
+        (lambda: ad.embedding_lookup(ad.tensor(np.zeros((4, 2))),
+                                     np.zeros((1, 1, 1), dtype=int)),
+         "embedding_lookup expects a 1-d or 2-d id array, got (1, 1, 1)"),
+        (lambda: ad.softmax_cross_entropy(ad.tensor(np.zeros((2, 3))), [0]),
+         "labels shape (1,) does not match 2 logit rows"),
+    ], ids=["not-2d", "mean-axis", "empty-concat", "concat-rows", "id-rank",
+            "labels-shape"])
+    def test_shape_fault_is_named(self, call, message):
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestBackward:
@@ -214,7 +236,8 @@ class TestRowSparseAdjoint:
     def test_two_lookups_of_one_table_sum(self):
         sparse, dense = self.gradients(self.two_lookups)
         assert np.array_equal(sparse.grad, dense.grad)
-        assert sparse.rows is ad.ALL_ROWS  # the two adjoints met and were densified
+        # Each lookup's adjoint goes into the table's gradient on its own.
+        assert sparse.rows.tolist() == [0, 2, 4, 5, 6]
         error = finite_difference_check(
             lambda: self.two_lookups(ad.embedding_lookup, sparse), [sparse])
         assert error < 1e-7
@@ -227,6 +250,22 @@ class TestRowSparseAdjoint:
         sparse, dense = self.gradients(loss_of)
         assert np.array_equal(sparse.grad, dense.grad)
         assert not sparse.grad[[1, 3]].any()
+        error = finite_difference_check(
+            lambda: loss_of(ad.embedding_lookup, sparse), [sparse])
+        assert error < 1e-7
+
+    def test_one_lookup_from_non_leaf_table(self):
+        def loss_of(lookup, table):
+            rows = lookup(ad.scale(table, 2.0), self.ids_a)
+            return ad.sum_all(ad.sigmoid(ad.mul(rows, ad.tensor(self.weight_a))))
+
+        sparse, dense = self.gradients(loss_of)
+        assert np.array_equal(bits(sparse.grad), bits(dense.grad))
+        assert not sparse.grad[[1, 3, 5]].any()
+        # Only a Parameter table is handed a RowSparse adjoint.
+        lookup = ad.embedding_lookup(ad.scale(sparse, 2.0), self.ids_a)
+        ((_, vjp),) = lookup.vjps
+        assert type(vjp(np.ones(lookup.shape))) is np.ndarray
         error = finite_difference_check(
             lambda: loss_of(ad.embedding_lookup, sparse), [sparse])
         assert error < 1e-7
@@ -367,10 +406,10 @@ class TestFastPathsMatchReferences:
         loss = ad.sum_all(ad.sigmoid(mixed))
         order = ad._topo_order(loss)
         assert order[-1] is loss
-        assert {id(w), id(v)} <= {id(node) for node in order}
-        assert all(node.vjps or isinstance(node, Parameter) for node in order)
-        root = ad.tensor(2.0)
-        assert ad._topo_order(root) == [root]
+        assert len(order) == len({id(node) for node in order}) == 12
+        assert all(node.vjps for node in order)
+        for root in (ad.tensor(2.0), w):
+            assert ad._topo_order(root) == [root]
 
     def test_scalar_results_are_0d_arrays(self):
         x = param([[1.0, -2.0], [0.5, 3.0]])

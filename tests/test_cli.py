@@ -291,6 +291,23 @@ class TestTrain:
         assert best == (one_epoch / "checkpoint.json").read_bytes()
         assert best != (out / "checkpoint.json").read_bytes()
 
+    def test_model_lam_changes_only_the_stored_config(self, tmp_path):
+        # train passes trainer.lam, by its schedule, to every step, so
+        # model.lam is never the coefficient in effect.
+        outs = [tmp_path / name for name in ("lam_1", "lam_03")]
+        for out, lam in zip(outs, ("1.0", "0.3")):
+            assert run(train_args(out, epochs=20, extra=[
+                "--dev", f"RO={RO}", "--set", f"model.lam={lam}",
+                "--set", "trainer.lambda_schedule=dann_ramp"])) == EXIT_OK
+        for name in ("report.jsonl", "summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        for name in ("checkpoint.json", "checkpoint_best.json"):
+            first, second = (json.loads((out / name).read_text())
+                             for out in outs)
+            assert (first["config"]["lam"], second["config"]["lam"]) == (1.0, 0.3)
+            del first["config"]["lam"], second["config"]["lam"]
+            assert first == second, name
+
     def test_flags_disable_li_and_adv(self, tmp_path):
         out = tmp_path / "plain"
         assert run(train_args(out, extra=["--use-li", "false",

@@ -16,7 +16,7 @@ import mweid
 from mweid.corpus import (N_COLUMNS, BadMweColumn, Corpus, CuptError,
                           DanglingMweId, DuplicateLanguageCode, MalformedLine,
                           MweInstance, NonContiguousIds,
-                          OverlapUnrepresentable, Token, VmweCategory,
+                          OverlapUnrepresentable, Sentence, Token, VmweCategory,
                           _check_mwe_rules, corpus_stats, decode_tags,
                           encode_tags, extract_mwes, format_mwe_field,
                           iter_cupt, make_lemma_key, merge_corpora,
@@ -521,6 +521,21 @@ class TestCategory:
     def test_invalid_codes_rejected(self, code):
         with pytest.raises(BadMweColumn):
             VmweCategory(code)
+
+
+@pytest.mark.parametrize("indices, message", [
+    ((), "MWE 3 has no member tokens"),
+    ((2, 2), "MWE 3 token indices must be strictly increasing: (2, 2)"),
+    ((4, 1), "MWE 3 token indices must be strictly increasing: (4, 1)")])
+def test_instance_needs_increasing_members(indices, message):
+    with pytest.raises(CuptError, match=f"^{re.escape(message)}$"):
+        MweInstance(mwe_id=3, category=VmweCategory("VID"),
+                    token_indices=indices, lemma_key=())
+
+
+def test_sentence_needs_a_token():
+    with pytest.raises(CuptError, match="^sentence has no tokens$"):
+        Sentence(tokens=())
 
 
 def _extract_mwes_reference(sentence):

@@ -75,7 +75,7 @@ RUNS = {
 }
 
 
-def build() -> dict:
+def numpy_build() -> dict:
     """The numpy version and BLAS build running."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
@@ -163,7 +163,8 @@ def results(tmp_path_factory):
 def test_run_writes_the_golden_bytes(name, golden, results):
     want, got = golden["runs"][name], results[name]
     assert want["calls"] == got["calls"], "the run's calls changed"
-    builds = f"golden made with {golden['build']}, this run with {build()}"
+    builds = (f"golden made with {golden['build']}, "
+              f"this run with {numpy_build()}")
     assert sorted(want["sha256"]) == sorted(got["sha256"]), \
         f"{name} wrote other files; {builds}"
     for path, digest in want["sha256"].items():
@@ -211,5 +212,5 @@ def test_the_ulp_report_names_each_parameter():
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as scratch:
-        payload = {"build": build(), "runs": run_all(Path(scratch))}
+        payload = {"build": numpy_build(), "runs": run_all(Path(scratch))}
     TRAINING.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")

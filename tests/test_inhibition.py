@@ -100,6 +100,14 @@ class TestForward:
         with pytest.raises(ValueError):
             layer.forward(ad.tensor([[1.0, 2.0, 3.0]]))
 
+    def test_bad_bias_or_steepness_rejected(self):
+        with pytest.raises(ValueError, match=r"^bias shape \(3,\) does not "
+                                             r"match width 2$"):
+            layer_from(np.zeros((2, 2)), np.zeros(3))
+        with pytest.raises(ValueError,
+                           match="^steepness must be positive, got -1.0$"):
+            layer_from(np.zeros((2, 2)), np.zeros(2), k=-1.0)
+
 
 class TestSelectivity:
     @given(st.integers(min_value=0, max_value=100_000))

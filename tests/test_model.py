@@ -50,6 +50,10 @@ class TestInventories:
         with pytest.raises(ValueError):
             small_config(lam=-1.0).validate()
 
+    def test_nonpositive_steepness_rejected(self):
+        with pytest.raises(ValueError, match="^steepness must be > 0$"):
+            small_config(steepness=0.0)
+
     @pytest.mark.parametrize("name, value, message", [
         ("window", 1.5, "window must be an integer, got 1.5"),
         ("hidden_dim", 6.0, "hidden_dim must be an integer, got 6.0"),

@@ -202,6 +202,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainerConfig(epochs=0).validate()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("lam", -0.5, "lam must be >= 0"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("clip_grad", 0.0, "clip_grad must be > 0 when set")])
+    def test_setting_out_of_range_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainerConfig(**{field: value})
+
     @pytest.mark.parametrize("field, value", [
         ("alpha", float("nan")), ("lam", float("inf")),
         ("clip_grad", float("nan"))])
