@@ -296,17 +296,24 @@ def _send_seen_keys(train, read_end: int, write_end: int):
 @contextlib.contextmanager
 def _seen_keys(train):
     """Yield a function that returns ``seen_lemma_keys`` of the training
-    inputs. Where ``_can_fork``, a forked child reads them from now on, while
-    the caller reads gold and predictions; the function waits for its
-    result and raises the exception the read met, or a RuntimeError naming
-    the exit status of a child that ended without a result. Elsewhere the
-    function reads them itself. On the way out a child still running is
-    killed, and every child is reaped."""
-    if not _can_fork():
+    inputs. Where ``_can_fork`` and the pipe and the fork are made, a forked
+    child reads them from now on, while the caller reads gold and
+    predictions; the function waits for its result and raises the exception
+    the read met, or a RuntimeError naming the exit status of a child that
+    ended without a result. Elsewhere the function reads them itself. On the
+    way out a child still running is killed, and every child is reaped."""
+    ends, pid = [], None
+    if _can_fork():
+        try:
+            ends += os.pipe()
+            pid = os.fork()
+        except OSError:  # say, at a limit on processes or open files
+            for end in ends:
+                os.close(end)
+    if pid is None:
         yield lambda: seen_lemma_keys(_read(train))
         return
-    read_end, write_end = os.pipe()
-    pid = os.fork()
+    read_end, write_end = ends
     if pid == 0:
         _send_seen_keys(train, read_end, write_end)
     os.close(write_end)

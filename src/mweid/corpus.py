@@ -272,8 +272,9 @@ def parse_cupt(text: str, language: str | None = None,
     ``collector_paused``); a CuptError names its row, or its block's first
     line for a check of the whole block.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if "\r" in text:  # the line-end rule of ``_decoded``
+        text = io.IncrementalNewlineDecoder(None, translate=True).decode(
+            text, final=True)
     with collector_paused():
         return Corpus(tuple(_parse((text,), language, source)))
 

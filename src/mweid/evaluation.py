@@ -23,7 +23,6 @@ from typing import Iterable
 
 from .corpus import (Corpus, CuptError, MweInstance, Sentence, decode_tags,
                      extract_mwes, seen_lemma_keys, with_instances)
-from .model import tag_groups
 
 
 class TokenizationMismatch(ValueError):
@@ -201,13 +200,11 @@ def evaluate(gold: Corpus, pred: Corpus, train: Corpus,
 
 
 def predict_corpus(model, corpus: Corpus) -> Corpus:
-    """Rewrite every sentence's MWE column from its decoded tags: one encode
-    and ``model.predict_tags`` per ``tag_groups`` group (ties pick the
-    lowest tag index), and no lemma keys, which only scoring reads."""
-    tags = (tags for group in tag_groups(corpus.sentences)
-            for tags in model.predict_tags(model.extractor.encode(group)))
-    return Corpus(sentences=tuple(map(with_instances, corpus,
-                                      map(decode_tags, tags))))
+    """Rewrite every sentence's MWE column from the tags ``model.predict_tags``
+    gives it (ties pick the lowest tag index), with no lemma keys, which
+    only scoring reads."""
+    return Corpus(sentences=tuple(map(with_instances, corpus, map(
+        decode_tags, model.predict_tags(corpus)))))
 
 
 def format_table(result: EvalResult, label: str = "model") -> str:

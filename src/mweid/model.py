@@ -118,9 +118,9 @@ class ModelConfig:
 
 def tag_groups(sentences):
     """The sentences in tuples of at most GROUP_TOKENS token rows (a longer
-    sentence is a group of its own): the one way a corpus is cut for
-    ``MweTagger.predict_tags``, so its blocks, and the last bits of each
-    logit, depend on the corpus alone. A group regroups to itself."""
+    sentence is a group of its own): how ``MweTagger.predict_tags`` cuts
+    what it tags, so its blocks, and the last bits of each logit, depend on
+    the corpus alone. A group regroups to itself."""
     group, rows = [], 0
     for sentence in sentences:
         if group and rows + len(sentence) > GROUP_TOKENS:
@@ -130,25 +130,6 @@ def tag_groups(sentences):
         rows += len(sentence)
     if group:
         yield tuple(group)
-
-
-def build_vocab(corpus: Corpus) -> dict[str, int]:
-    """Token forms in first-occurrence order, after <pad> and <unk>."""
-    vocab = {form: index for index, form in enumerate(_RESERVED)}
-    for sentence in corpus:
-        for token in sentence.tokens:
-            if token.form not in vocab:
-                vocab[token.form] = len(vocab)
-    return vocab
-
-
-def build_tagset(corpus: Corpus) -> list[str]:
-    """Closed IOB2 alphabet of the corpus's categories (see ``_tag_layout``)."""
-    categories: set[str] = set()
-    for sentence in corpus:
-        for instance in extract_mwes(sentence):
-            categories.add(str(instance.category))
-    return _tag_layout(categories)
 
 
 def _tag_layout(categories) -> list[str]:
@@ -162,10 +143,6 @@ def _tag_layout(categories) -> list[str]:
     for category in sorted(set(categories)):
         tagset.extend((f"B-{category}", f"I-{category}"))
     return tagset
-
-
-def build_languages(corpus: Corpus) -> list[str]:
-    return sorted({s.language for s in corpus if s.language is not None})
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,6 +285,19 @@ class MweTagger:
 
     @classmethod
     def build(cls, config: ModelConfig, corpus: Corpus) -> "MweTagger":
+        """Seeded random weights over inventories read in one pass of
+        ``corpus``: its forms in first-occurrence order after <pad> and
+        <unk>, its categories' tags (``_tag_layout``), its sorted languages."""
+        vocab = {form: index for index, form in enumerate(_RESERVED)}
+        categories, languages = set(), set()
+        for sentence in corpus:
+            for token in sentence.tokens:
+                if token.form not in vocab:
+                    vocab[token.form] = len(vocab)
+            for instance in extract_mwes(sentence):
+                categories.add(str(instance.category))
+            languages.add(sentence.language)
+        languages.discard(None)
         rng = np.random.default_rng(config.seed)
 
         def drawn(name, shape, fill=None):
@@ -315,8 +305,8 @@ class MweTagger:
                     else np.full(shape, fill))
             return Parameter(data, name)
 
-        return cls._wire(config, build_vocab(corpus), build_tagset(corpus),
-                         build_languages(corpus), drawn)
+        return cls._wire(config, vocab, _tag_layout(categories),
+                         sorted(languages), drawn)
 
     @classmethod
     def _wire(cls, config: ModelConfig, vocab: dict[str, int],
@@ -378,25 +368,30 @@ class MweTagger:
                 pooled, self.config.lam if lam is None else lam)
         return tag_logits, lang_logits
 
-    def predict_tags(self, batch: Batch) -> list[list[str]]:
+    def predict_tags(self, sentences) -> list[list[str]]:
         """Each sentence's argmax tags; ties pick the lowest tag index.
 
-        Runs only the extractor and the tag classifier, over blocks of
-        CHUNK_TOKENS rows counted from the batch's first row.
+        Each ``tag_groups`` group of the sentences is encoded once, and only
+        the extractor and the tag classifier run, over blocks of
+        CHUNK_TOKENS rows counted from the group's first row.
         """
-        tag_ids = []
-        for start in range(0, len(batch), CHUNK_TOKENS):
-            rows = batch.windows[start:start + CHUNK_TOKENS]
-            # A token's row already pads its sentence's edges, so a block
-            # may cut through sentences; tagging never reads the offsets.
-            block = Batch(rows, np.array([0, len(rows)]))
-            # One statement, so each block's graph is freed before the next
-            # block's is built.
-            tag_ids.extend(self.classifier.logits(self.extractor.features(block))
-                           .data.argmax(axis=1).tolist())
-        tags = [self.tagset[i] for i in tag_ids]
-        offsets = batch.offsets.tolist()
-        return [tags[a:b] for a, b in zip(offsets, offsets[1:])]
+        tags = []
+        for group in tag_groups(sentences):
+            batch = self.extractor.encode(group)
+            tag_ids = []
+            for start in range(0, len(batch), CHUNK_TOKENS):
+                rows = batch.windows[start:start + CHUNK_TOKENS]
+                # A token's row already pads its sentence's edges, so a block
+                # may cut through sentences; tagging never reads the offsets.
+                block = Batch(rows, np.array([0, len(rows)]))
+                # One statement, so each block's graph is freed before the
+                # next block's is built.
+                tag_ids.extend(self.classifier.logits(
+                    self.extractor.features(block)).data.argmax(axis=1).tolist())
+            names = [self.tagset[i] for i in tag_ids]
+            offsets = batch.offsets.tolist()
+            tags.extend(names[a:b] for a, b in zip(offsets, offsets[1:]))
+        return tags
 
     def predict_language(self, sentence: Sentence) -> str:
         if self.discriminator is None:
@@ -517,7 +512,7 @@ def _inventory(payload: dict, key: str) -> list[str]:
 
 def _check_tagset(tagset: list[str]) -> None:
     """Raise CheckpointError unless ``tagset`` is the ``_tag_layout`` of valid
-    category codes, as ``build_tagset`` makes it."""
+    category codes, as ``MweTagger.build`` makes it."""
     categories = [tag[2:] for tag in tagset[1::2]]
     try:
         for code in categories:

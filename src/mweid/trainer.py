@@ -28,7 +28,7 @@ from . import autodiff as ad
 from .corpus import (Corpus, Sentence, decode_tags, encode_tags, extract_mwes,
                      seen_lemma_keys)
 from .evaluation import score
-from .model import Batch, MweTagger, check_fields, tag_groups
+from .model import Batch, MweTagger, check_fields
 
 SCHEDULES = ("constant", "dann_ramp")
 
@@ -205,9 +205,9 @@ def train(model: MweTagger, train_corpus: Corpus,
           config: TrainerConfig | None = None) -> TrainingReport:
     """Run the full training loop; deterministic under a fixed seed.
 
-    When a dev corpus is supplied, it is encoded (a batch per ``tag_groups``
-    group) and its gold extracted once per run; each epoch scores the
-    instances decoded from its tags against that gold and keeps the
+    When a dev corpus is supplied, its lemmas and gold are taken once per
+    run; each epoch tags it with ``model.predict_tags``, scores the
+    instances decoded from those tags against that gold and keeps the
     best-global-F1 parameters on the report.
     """
     config = config or TrainerConfig()
@@ -217,8 +217,6 @@ def train(model: MweTagger, train_corpus: Corpus,
     if dev_corpus is not None:
         if not dev_corpus.sentences:
             raise EmptyBatch("dev corpus is empty")
-        dev = [model.extractor.encode(group)
-               for group in tag_groups(dev_corpus.sentences)]
         dev_lemmas = [sentence.lemmas() for sentence in dev_corpus]
         dev_gold = [extract_mwes(sentence) for sentence in dev_corpus]
         seen = seen_lemma_keys(train_corpus)
@@ -258,9 +256,8 @@ def train(model: MweTagger, train_corpus: Corpus,
             lang_accuracy=(lang_correct / len(sentences)
                            if model.discriminator is not None else None))
         if dev_corpus is not None:
-            tags = (tags for group in dev for tags in model.predict_tags(group))
-            result = score(zip(dev_gold, map(decode_tags, tags, dev_lemmas),
-                               strict=True), seen)
+            tags = map(decode_tags, model.predict_tags(dev_corpus), dev_lemmas)
+            result = score(zip(dev_gold, tags, strict=True), seen)
             record.dev_global_f1 = result.global_scores.f1
             record.dev_unseen_f1 = result.unseen_scores.f1
             if (report.best_dev_global_f1 is None

@@ -524,10 +524,10 @@ class TestTag:
         predict_tags = model_mod.MweTagger.predict_tags
         features = model_mod.FeatureExtractor.features
 
-        def recorded_tags(model, batch):
+        def recorded_tags(model, sentences):
             tagging.append(True)
             try:
-                return predict_tags(model, batch)
+                return predict_tags(model, sentences)
             finally:
                 tagging.pop()
 
@@ -703,6 +703,60 @@ class TestEval:
         first_train = reads.index(str(train))
         assert {str(RO), str(pred)} == set(reads[:first_train])
         assert set(reads[first_train:]) == {str(train)}
+
+    @staticmethod
+    def forked_then_patched(monkeypatch, capsys, tmp_path, name, patched):
+        """Run one eval with the training corpora read in a forked child,
+        then one with ``os.<name>`` replaced by ``patched``; check that the
+        second forked no child, gave the first's exit code 0, stdout and
+        report bytes, and left no more descriptors open than before it."""
+        report = tmp_path / "report.json"
+        argv = ["eval", RO, RO, "--train", f"RO={RO}", "--train", f"FR={FR}",
+                "--report", str(report)]
+        outcomes = []
+        for patch_it in (False, True):
+            with monkeypatch.context() as patch:
+                pids = _watch_forks(patch)
+                if patch_it:
+                    patch.setattr(os, name, patched)
+                open_fds = len(os.listdir("/proc/self/fd"))
+                code = run(argv)
+                assert len(os.listdir("/proc/self/fd")) == open_fds
+            assert len(pids) == (not patch_it) and all(map(_reaped, pids))
+            outcomes.append((code, capsys.readouterr().out,
+                             report.read_bytes()))
+            report.unlink()
+        assert outcomes[0][0] == EXIT_OK and "100.00" in outcomes[0][1]
+        assert outcomes[1] == outcomes[0]
+
+    @pytest.mark.parametrize("name", ["pipe", "fork"])
+    def test_a_failed_fork_reads_training_in_process(
+            self, tmp_path, monkeypatch, capsys, name):
+        calls = []
+
+        def refused():
+            calls.append(name)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        self.forked_then_patched(monkeypatch, capsys, tmp_path, name, refused)
+        assert calls == [name]
+
+    def test_no_fork_where_the_threads_cannot_be_listed(
+            self, tmp_path, monkeypatch, capsys):
+        listdir, calls = os.listdir, []
+
+        def unlisted(path="."):
+            if path == "/proc/self/task":  # as on a system without /proc
+                calls.append(path)
+                raise FileNotFoundError(2, "No such file or directory", path)
+            return listdir(path)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "listdir", unlisted)
+            assert cli._can_fork() is False
+        self.forked_then_patched(monkeypatch, capsys, tmp_path, "listdir",
+                                 unlisted)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("end, status", [
         (lambda: os._exit(1), 1),

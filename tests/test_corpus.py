@@ -389,6 +389,28 @@ class TestBlockReader:
         want = self.check(tmp_path, monkeypatch, data, cut)
         assert serialize_corpus(want) == self.RO_TEXT
 
+    def test_mixed_line_ends_read_as_in_text_mode(self, tmp_path,
+                                                  monkeypatch):
+        # Each line of the fixture ends in LF, CR or CRLF at random (never a
+        # CR before a blank line's LF, which would make one CRLF of them):
+        # parse_cupt and the block reader read them as text mode does.
+        rng = np.random.default_rng(3)
+        lines = self.RO_TEXT.split("\n")
+        for variant in range(5):
+            ends = [str(end) if end != "\r" or after else "\r\n"
+                    for end, after in zip(rng.choice(["\n", "\r", "\r\n"],
+                                                     len(lines) - 1),
+                                          lines[1:])]
+            text = "".join(map(str.__add__, lines, ends)) + lines[-1]
+            path = tmp_path / f"mixed{variant}.cupt"
+            path.write_bytes(text.encode("utf-8"))
+            with open(path, encoding="utf-8") as handle:
+                assert handle.read() == self.RO_TEXT
+            assert parse_cupt(text) == parse_cupt(self.RO_TEXT)
+            for piece in (1, 7, 1 << 16):
+                assert self.read(path, monkeypatch, piece) \
+                    == parse_cupt(self.RO_TEXT)
+
     def test_cr_in_a_field_at_the_end_of_a_piece(self, tmp_path,
                                                   monkeypatch):
         data = cupt_text([("a", "a", "1:IR\rV")]).encode("utf-8")

@@ -252,7 +252,7 @@ class TestPredictCorpus:
     def one_by_one(model, corpus):
         return Corpus(sentences=tuple(
             corpus_mod.with_instances(s, corpus_mod.decode_tags(
-                model.predict_tags(model.extractor.encode([s]))[0],
+                model.predict_tags([s])[0],
                 lemmas=s.lemmas())) for s in corpus))
 
     @staticmethod
@@ -283,8 +283,7 @@ class TestPredictCorpus:
         model = self.trained_model(bilingual_corpus)
         sentence = bilingual_corpus.sentences[0]
         expected = evaluation.predict_corpus(model, bilingual_corpus)
-        batch = model.extractor.encode([sentence])
-        tags = model.predict_tags(batch)
+        tags = model.predict_tags([sentence])
 
         def refuse(*args, **kwargs):
             raise AssertionError("the language path ran")
@@ -292,7 +291,7 @@ class TestPredictCorpus:
         monkeypatch.setattr(model_mod.LanguageDiscriminator, "logits", refuse)
         monkeypatch.setattr(model_mod.Batch, "pooling", refuse)
         assert evaluation.predict_corpus(model, bilingual_corpus) == expected
-        assert model.predict_tags(batch) == tags
+        assert model.predict_tags([sentence]) == tags
         with pytest.raises(AssertionError, match="the language path ran"):
             model.predict_language(sentence)
 
@@ -369,14 +368,14 @@ class TestPredictCorpus:
             return out
 
         monkeypatch.setattr(model_mod.FeatureExtractor, "features", tracked)
-        model.predict_tags(model.extractor.encode([long]))
+        model.predict_tags([long])
         assert live == [0, 0, 0]
 
 
 def decoded(model, corpus):
     """Each sentence's instances, lemma keys included, decoded from the tags
-    of the corpus encoded once."""
-    tags = model.predict_tags(model.extractor.encode(corpus.sentences))
+    of the whole corpus."""
+    tags = model.predict_tags(corpus)
     return [corpus_mod.decode_tags(sentence_tags, sentence.lemmas())
             for sentence_tags, sentence in zip(tags, corpus, strict=True)]
 
@@ -435,7 +434,7 @@ class TestScore:
 
     def test_untrained_model_tags_orphans(self, bilingual_corpus):
         model = self.untrained_model(bilingual_corpus)
-        tags = model.predict_tags(model.extractor.encode(bilingual_corpus.sentences))
+        tags = model.predict_tags(bilingual_corpus)
         assert any(orphan_tags(sentence_tags) for sentence_tags in tags)
 
     def test_instances_are_the_rewritten_sentences_extracted(
@@ -465,7 +464,7 @@ class TestScore:
 
     def test_empty_corpus(self, model, ro_corpus):
         empty = Corpus(sentences=())
-        assert model.predict_tags(model.extractor.encode([])) == []
+        assert model.predict_tags([]) == []
         assert evaluation.predict_corpus(model, empty) == empty
         result = score([], corpus_mod.seen_lemma_keys(ro_corpus))
         assert result.as_dict() == evaluate(empty, empty, ro_corpus).as_dict()

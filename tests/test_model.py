@@ -14,8 +14,7 @@ import pytest
 
 from mweid import model as model_mod
 from mweid.model import (CHUNK_VALUES, Batch, CheckpointError, ModelConfig,
-                         MweTagger, PAD_ID, UNK_ID, UnknownLanguage,
-                         build_tagset, build_vocab)
+                         MweTagger, PAD_ID, UNK_ID, UnknownLanguage)
 from conftest import bits, corpus_of, make_sentence, random_sentence
 
 
@@ -35,14 +34,14 @@ def tiny_corpus():
 
 
 class TestInventories:
-    def test_vocab_order_and_reserved_ids(self, tiny_corpus):
-        vocab = build_vocab(tiny_corpus)
+    def test_one_pass_gives_vocab_tagset_and_languages(self, tiny_corpus):
+        # A one-shot iterator: build reads its corpus once.
+        model = MweTagger.build(small_config(), iter(tiny_corpus))
+        vocab = model.extractor.vocab
         assert vocab["<pad>"] == PAD_ID and vocab["<unk>"] == UNK_ID
-        assert vocab["ana"] == 2  # first-occurrence order
-
-    def test_tagset_layout(self, tiny_corpus):
-        assert build_tagset(tiny_corpus) == \
-            ["O", "B-IRV", "I-IRV", "B-VID", "I-VID"]
+        assert list(vocab)[2:] == ["ana", "are", "mere", "le", "chat", "dort"]
+        assert model.tagset == ["O", "B-IRV", "I-IRV", "B-VID", "I-VID"]
+        assert model.discriminator.languages == ["FR", "RO"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -210,13 +209,12 @@ class TestPredict:
     def test_deterministic(self, tiny_corpus):
         model = MweTagger.build(small_config(), tiny_corpus)
         s = tiny_corpus.sentences[0]
-        batch = model.extractor.encode([s])
-        assert model.predict_tags(batch) == model.predict_tags(batch)
+        assert model.predict_tags([s]) == model.predict_tags([s])
 
     def test_output_length(self, tiny_corpus):
         model = MweTagger.build(small_config(), tiny_corpus)
         s = make_sentence(["a", "b", "c", "d"])
-        assert len(model.predict_tags(model.extractor.encode([s]))[0]) == 4
+        assert len(model.predict_tags([s])[0]) == 4
 
     def test_tie_breaks_to_lowest_index(self, tiny_corpus):
         model = MweTagger.build(small_config(), tiny_corpus)
@@ -225,8 +223,8 @@ class TestPredict:
             model.classifier.head_w.data)
         model.classifier.head_b.data = np.zeros_like(
             model.classifier.head_b.data)
-        batch = model.extractor.encode([make_sentence(["ana", "are"])])
-        assert model.predict_tags(batch) == [["O", "O"]]
+        assert model.predict_tags([make_sentence(["ana", "are"])]) \
+            == [["O", "O"]]
 
     def test_tags_per_sentence_match_each_sentence_alone(self):
         rng = np.random.default_rng(8)
@@ -238,10 +236,9 @@ class TestPredict:
         offsets = batch.offsets.tolist()
         block = model_mod.CHUNK_TOKENS
         assert any(a < block < b for a, b in zip(offsets, offsets[1:]))
-        tags = model.predict_tags(batch)
+        tags = model.predict_tags(iter(sentences))
         assert [len(t) for t in tags] == [len(s) for s in sentences]
-        assert tags == [model.predict_tags(model.extractor.encode([s]))[0]
-                        for s in sentences]
+        assert tags == [model.predict_tags([s])[0] for s in sentences]
         assert len({tag for sentence_tags in tags for tag in sentence_tags}) > 1
 
     def test_unknown_language_raises(self, tiny_corpus):
@@ -702,7 +699,7 @@ class TestBatch:
         assert batch.windows.shape == (0, 2 * window + 1)
         assert batch.windows.dtype == np.int64
         assert batch.offsets.tolist() == [0] and len(batch) == 0
-        assert model.predict_tags(batch) == []
+        assert model.predict_tags([]) == []
 
     def test_select_and_pooling(self, tiny_corpus):
         model = MweTagger.build(small_config(), tiny_corpus)

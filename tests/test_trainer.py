@@ -330,24 +330,7 @@ class TestTrainLoop:
         assert per_dev_sentence == [1] * len(dev)
         assert rewrites == []
 
-    def test_dev_encoded_once_per_run(self, monkeypatch):
-        encoded = []
-        original = model_mod.FeatureExtractor.encode
-
-        def counting(extractor, sentences):
-            encoded.append(list(sentences))
-            return original(extractor, sentences)
-
-        monkeypatch.setattr(model_mod.FeatureExtractor, "encode", counting)
-        corpus = training_corpus()
-        dev = corpus_of(*(replace(s, sent_id=f"dev{i}")
-                          for i, s in enumerate(corpus)))
-        report = train(build(corpus), corpus, dev,
-                       TrainerConfig(alpha=0.3, epochs=3, batch_size=2, seed=1))
-        assert all(r.dev_global_f1 is not None for r in report.epochs)
-        assert sum(sentences == list(dev) for sentences in encoded) == 1
-
-    def test_dev_encoded_once_per_run_a_group_at_a_time(self, monkeypatch):
+    def test_each_epoch_tags_the_dev_groups(self, monkeypatch):
         monkeypatch.setattr(model_mod, "GROUP_TOKENS", 8)  # 3 groups of dev
         encoded = []
         original = model_mod.FeatureExtractor.encode
@@ -366,7 +349,7 @@ class TestTrainLoop:
         groups = [list(group) for group in model_mod.tag_groups(dev)]
         assert len(groups) == 3
         assert [sentences for sentences in encoded
-                if sentences[0].sent_id.startswith("dev")] == groups
+                if sentences[0].sent_id.startswith("dev")] == groups * 3
 
     def test_dev_scores_are_evaluate_of_the_tagged_dev_corpus(self):
         rng = np.random.default_rng(7)
