@@ -34,13 +34,23 @@ def tiny_corpus():
 
 
 class TestInventories:
+    def test_vocab_order_and_reserved_ids(self, tiny_corpus):
+        vocab = MweTagger.build(small_config(), tiny_corpus).extractor.vocab
+        assert vocab["<pad>"] == PAD_ID and vocab["<unk>"] == UNK_ID
+        assert vocab["ana"] == 2  # first-occurrence order
+        assert list(vocab)[2:] == ["ana", "are", "mere", "le", "chat", "dort"]
+
+    def test_tagset_layout(self, tiny_corpus):
+        assert MweTagger.build(small_config(), tiny_corpus).tagset == \
+            ["O", "B-IRV", "I-IRV", "B-VID", "I-VID"]
+
     def test_one_pass_gives_vocab_tagset_and_languages(self, tiny_corpus):
         # A one-shot iterator: build reads its corpus once.
         model = MweTagger.build(small_config(), iter(tiny_corpus))
-        vocab = model.extractor.vocab
-        assert vocab["<pad>"] == PAD_ID and vocab["<unk>"] == UNK_ID
-        assert list(vocab)[2:] == ["ana", "are", "mere", "le", "chat", "dort"]
-        assert model.tagset == ["O", "B-IRV", "I-IRV", "B-VID", "I-VID"]
+        listed = MweTagger.build(small_config(), tiny_corpus)
+        assert model.extractor.vocab == listed.extractor.vocab
+        assert list(model.extractor.vocab) == list(listed.extractor.vocab)
+        assert model.tagset == listed.tagset
         assert model.discriminator.languages == ["FR", "RO"]
 
     def test_config_validation(self):
