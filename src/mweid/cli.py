@@ -56,11 +56,14 @@ class CliError(Exception):
 
 def _inputs(specs: list[str], need_language: bool = False):
     """Check corpus specs, "LANG=path.cupt" or a bare path, without reading
-    any file; return their (language, path) pairs, None for a bare path."""
+    any file; return their (language, path) pairs, None for a bare path.
+    A spec such as "data=v2.cupt" is a bare path if it names a file and its
+    part after "=" does not."""
     inputs = []
     for spec in specs:
         language, sep, path = spec.partition("=")
-        if not (sep and language.isalnum() and len(language) <= 8):
+        if not (sep and language.isalnum() and len(language) <= 8) or (
+                not Path(path).is_file() and Path(spec).is_file()):
             language, path = None, spec
         if not Path(path).is_file():
             raise CliError(f"no such file: {path}")
@@ -229,6 +232,8 @@ def cmd_train(args) -> int:
     elif report.best_state is not None:
         model.load_state_arrays(report.best_state)
         model.save(out_dir / "checkpoint_best.json")
+    else:  # an earlier run's, left by --force
+        (out_dir / "checkpoint_best.json").unlink(missing_ok=True)
     _write_text(out_dir / "report.jsonl", report.to_jsonl())
     _write_text(out_dir / "summary.json", _json_text(report.summary()))
     last = report.epochs[-1]

@@ -291,6 +291,16 @@ class TestTrain:
         assert best == (one_epoch / "checkpoint.json").read_bytes()
         assert best != (out / "checkpoint.json").read_bytes()
 
+    def test_forced_run_without_dev_removes_an_earlier_best_checkpoint(
+            self, tmp_path):
+        out = tmp_path / "run"
+        assert run(train_args(out, epochs=2,
+                              extra=["--dev", f"RO={RO}"])) == EXIT_OK
+        assert (out / "checkpoint_best.json").is_file()
+        assert run(train_args(out, epochs=2, extra=["--force"])) == EXIT_OK
+        assert sorted(path.name for path in out.iterdir()) == [
+            "checkpoint.json", "config.json", "report.jsonl", "summary.json"]
+
     def test_model_lam_changes_only_the_stored_config(self, tmp_path):
         # train passes trainer.lam, by its schedule, to every step, so
         # model.lam is never the coefficient in effect.
@@ -465,6 +475,15 @@ class TestTag:
         assert capsys.readouterr().err \
             == f"error: parse error: {bad}: byte 3 (0xe9) is not UTF-8\n"
         assert not out.exists()
+
+    def test_bare_path_whose_name_starts_with_a_code_and_equals(
+            self, checkpoint, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data=ro.cupt").write_bytes(open(RO, "rb").read())
+        for name, corpus in (("want.cupt", RO), ("got.cupt", "data=ro.cupt")):
+            assert run(["tag", str(checkpoint), corpus, name]) == EXIT_OK
+        assert (tmp_path / "got.cupt").read_bytes() \
+            == (tmp_path / "want.cupt").read_bytes()
 
     def test_non_canonical_token_id_is_a_parse_error(self, checkpoint,
                                                       tmp_path, capsys):
@@ -661,7 +680,7 @@ class TestEval:
     def test_faults_keep_the_order_of_whole_reads(
             self, tmp_path, capsys, monkeypatch, gold, pred, train, code,
             message):
-        monkeypatch.setattr(mweid.corpus, "PIECE_BYTES", 512)
+        monkeypatch.setattr(mweid.corpus, "PIECE_CHARS", 512)
         ro, fr = (open(path, "rb").read() for path in (RO, FR))
         bad = b"1\tonly\tthree\n"
         texts = {"ro": ro * 3, "late": ro * 3 + bad,
@@ -863,6 +882,19 @@ class TestStats:
         assert captured.out == ""
         assert f"parse error: {bad}: byte " in captured.err
 
+    def test_bare_path_whose_name_starts_with_a_code_and_equals(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["stats", RO]) == EXIT_OK
+        want = capsys.readouterr()
+        (tmp_path / "data=ro.cupt").write_bytes(open(RO, "rb").read())
+        assert run(["stats", "data=ro.cupt"]) == EXIT_OK
+        assert capsys.readouterr() == want
+        # With ro.cupt there too, the spec is a language code and a path.
+        (tmp_path / "ro.cupt").write_bytes(open(RO, "rb").read())
+        assert run(["stats", "data=ro.cupt"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[2].startswith("data ")
+
 
 class TestInputsCheckedFirst:
     @pytest.mark.parametrize("argv, message", [
@@ -887,6 +919,20 @@ class TestInputsCheckedFirst:
         assert run([arg.format(**names) for arg in argv]) == EXIT_CONFIG
         assert capsys.readouterr().err \
             == f"error: {message.format(**names)}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--train", "data=ro.cupt", "--out", "o"],
+         "training/eval inputs need a language code: LANG=data=ro.cupt"),
+        (["stats", "data=fr.cupt"], "no such file: fr.cupt"),
+    ], ids=["train-bare-path-with-equals", "neither-path"])
+    def test_spec_with_an_equals_sign(self, tmp_path, capsys, monkeypatch,
+                                      argv, message):
+        _refuse_reading(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data=ro.cupt").write_bytes(open(RO, "rb").read())
+        assert run(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
 
@@ -1077,7 +1123,7 @@ class TestBoundedMemory:
     def test_peak_does_not_grow_with_the_input(self, tmp_path, capsys,
                                                monkeypatch):
         monkeypatch.setattr(model_mod, "GROUP_TOKENS", 128)
-        monkeypatch.setattr(mweid.corpus, "PIECE_BYTES", 4096)
+        monkeypatch.setattr(mweid.corpus, "PIECE_CHARS", 4096)
         checkpoint = tmp_path / "model.json"
         MweTagger.build(ModelConfig(), merge_corpora([(parse_cupt_file(RO),
                                                        "RO")])).save(checkpoint)

@@ -342,21 +342,31 @@ class TestParsing:
 
 
 class TestBlockReader:
-    """``iter_cupt`` reads a file PIECE_BYTES bytes at a time. Each test cuts
-    the pieces where a line end, a character or a bad byte crosses two of
-    them, and must give what ``parse_cupt`` of the whole text gives (for a
-    bad byte, what decoding the whole file reports)."""
+    """``iter_cupt`` reads a file in text mode, PIECE_CHARS characters at a
+    time, and for a read of fewer characters the text layer reads and
+    decodes the file CHUNK bytes at a time. Each test puts a line end, a
+    character or a bad byte across a chunk boundary, and must give what
+    ``parse_cupt`` of the whole text gives (for a bad byte, what decoding
+    the whole file reports)."""
 
     RO_TEXT = open(mweid.fixture_path("synthetic_ro.cupt"),
                    encoding="utf-8").read()
+    CHUNK = 8192
+
+    def test_the_text_layer_reads_a_chunk_at_a_time(self, tmp_path):
+        path = tmp_path / "chunks.cupt"
+        path.write_bytes(b"#\n" * self.CHUNK)
+        with open(path, encoding="utf-8", newline=None) as handle:
+            handle.read(7)
+            assert handle.buffer.tell() == self.CHUNK
 
     @staticmethod
     def read(path, monkeypatch, piece):
-        monkeypatch.setattr(mweid.corpus, "PIECE_BYTES", piece)
+        monkeypatch.setattr(mweid.corpus, "PIECE_CHARS", piece)
         return _outcome(parse_cupt_file, path)
 
     @staticmethod
-    def whole_file_outcome(path, data, text=None):
+    def whole_file_outcome(path, data):
         """The outcome the file would have if it were read in one piece."""
         try:
             text = data.decode("utf-8")
@@ -365,29 +375,37 @@ class TestBlockReader:
                                f"(0x{data[err.start]:02x}) is not UTF-8")
         return _outcome(parse_cupt, text, source=str(path))
 
-    def check(self, tmp_path, monkeypatch, data, cut):
-        """Read ``data`` with the first piece ending after byte ``cut - 1``,
-        then with a few other piece sizes."""
+    def check(self, tmp_path, monkeypatch, data, cut, end="\n"):
+        """Read ``data`` after a '#' line, ended by ``end``, that makes its
+        byte ``cut`` open the second chunk, in pieces of a few sizes (the
+        largest reads the file as one chunk)."""
         path = tmp_path / "pieces.cupt"
+        data = b"#" + b"-" * (self.CHUNK - cut - 1 - len(end)) \
+            + end.encode() + data
         path.write_bytes(data)
         want = self.whole_file_outcome(path, data)
-        for piece in (cut, 1, 2, 3, 7, 64, len(data), 1 << 16):
+        for piece in (1, 2, 3, 7, 64, 1 << 16):
             assert self.read(path, monkeypatch, piece) == want, piece
         return want
+
+    @staticmethod
+    def unpadded(corpus):
+        """The text of ``corpus`` after the line ``check`` put first."""
+        return serialize_corpus(corpus).partition("\n")[2]
 
     def test_crlf_split_across_two_pieces(self, tmp_path, monkeypatch):
         data = self.RO_TEXT.replace("\n", "\r\n").encode("utf-8")
         cut = data.index(b"\r\n") + 1
         assert data[cut - 1:cut + 1] == b"\r\n"
-        want = self.check(tmp_path, monkeypatch, data, cut)
-        assert serialize_corpus(want) == self.RO_TEXT
+        want = self.check(tmp_path, monkeypatch, data, cut, "\r\n")
+        assert self.unpadded(want) == self.RO_TEXT
 
     def test_lone_cr_at_the_end_of_a_piece(self, tmp_path, monkeypatch):
         # Blank lines are "\r\r": a held CR is followed by another CR.
         data = self.RO_TEXT.replace("\n", "\r").encode("utf-8")
         cut = data.index(b"\r\r") + 1
-        want = self.check(tmp_path, monkeypatch, data, cut)
-        assert serialize_corpus(want) == self.RO_TEXT
+        want = self.check(tmp_path, monkeypatch, data, cut, "\r")
+        assert self.unpadded(want) == self.RO_TEXT
 
     def test_mixed_line_ends_read_as_in_text_mode(self, tmp_path,
                                                   monkeypatch):
@@ -415,14 +433,15 @@ class TestBlockReader:
                                                   monkeypatch):
         data = cupt_text([("a", "a", "1:IR\rV")]).encode("utf-8")
         want = self.check(tmp_path, monkeypatch, data, data.index(b"\r") + 1)
+        # Line 1 is the padding.
         assert want[0] is MalformedLine and want[1].endswith(
-            ":3: expected 11 tab-separated columns, got 1")
+            ":4: expected 11 tab-separated columns, got 1")
 
     def test_character_split_across_two_pieces(self, tmp_path, monkeypatch):
         data = self.RO_TEXT.encode("utf-8")
         cut = data.index("â".encode("utf-8")) + 1
         want = self.check(tmp_path, monkeypatch, data, cut)
-        assert serialize_corpus(want) == self.RO_TEXT
+        assert self.unpadded(want) == self.RO_TEXT
 
     @pytest.mark.parametrize("bad", [b"\xff", b"\xc3A", b"\xe2\x82"],
                              ids=["invalid-byte", "bad-continuation",
@@ -438,26 +457,47 @@ class TestBlockReader:
         offset = len(self.RO_TEXT.encode("utf-8")) if bad == b"\xe2\x82" \
             else data.index(bad)
         path = tmp_path / "pieces.cupt"
-        want = (CuptError, f"{path}: byte {offset} (0x{bad[0]:02x}) is not "
-                           f"UTF-8")
-        # The bad byte opens the second piece, or its character starts at
+        # The bad byte opens the second chunk, or its character starts at
         # the end of the first.
         for cut in (offset, offset + 1):
+            want = (CuptError, f"{path}: byte {self.CHUNK - cut + offset} "
+                               f"(0x{bad[0]:02x}) is not UTF-8")
             assert self.check(tmp_path, monkeypatch, data, cut) == want
 
     def test_bad_byte_after_a_row_fault_is_reported(self, tmp_path,
                                                     monkeypatch):
+        # The row fault is in the first chunk, the bad byte opens the second.
         rows = self.RO_TEXT.encode("utf-8")
         data = b"1\tonly\tthree\n\n" + rows * 3 + b"\xe9\n"
-        want = self.check(tmp_path, monkeypatch, data, 64)
-        assert want[1].endswith(f"byte {len(data) - 2} (0xe9) is not UTF-8")
+        want = self.check(tmp_path, monkeypatch, data, len(data) - 2)
+        assert want[1].endswith(f"byte {self.CHUNK} (0xe9) is not UTF-8")
         # Without the bad byte, the row fault stands.
-        assert self.check(tmp_path, monkeypatch, data[:-2], 64)[1].endswith(
-            ":1: expected 11 tab-separated columns, got 3")
+        assert self.check(tmp_path, monkeypatch, data[:-2],
+                          len(data) - 2)[1].endswith(
+            ":2: expected 11 tab-separated columns, got 3")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("insert", [
+        b"\xe9", b"\xff", b"\xc3", "é".encode("utf-8"), "€".encode("utf-8"),
+        b"\r", b"\r\n"], ids=["e9", "ff", "c3", "2-byte", "3-byte", "cr",
+                             "crlf"])
+    def test_insertions_around_chunk_boundaries(self, tmp_path, monkeypatch,
+                                                insert, end):
+        # The fixture's text 13 times over is 17,121 bytes with LF ends.
+        data = (self.RO_TEXT.replace("\n", end) * 13).encode("utf-8")
+        path = tmp_path / "swept.cupt"
+        for boundary in (self.CHUNK, 2 * self.CHUNK):
+            for at in range(boundary - 4, boundary + 4):
+                swept = data[:at] + insert + data[at:]
+                path.write_bytes(swept)
+                want = self.whole_file_outcome(path, swept)
+                for piece in (1, 7):
+                    assert self.read(path, monkeypatch, piece) == want, \
+                        (at, piece)
 
     def test_sentences_come_before_the_fault_that_follows_them(
             self, tmp_path, monkeypatch):
-        monkeypatch.setattr(mweid.corpus, "PIECE_BYTES", 64)
+        monkeypatch.setattr(mweid.corpus, "PIECE_CHARS", 64)
         path = tmp_path / "late.cupt"
         path.write_text(self.RO_TEXT * 2 + "1\tonly\tthree\n",
                         encoding="utf-8")
