@@ -269,9 +269,13 @@ def cmd_tag(args) -> int:
 
 
 def _can_fork() -> bool:
-    """Whether ``os.fork`` exists and this process runs one OS thread (one
-    entry in ``/proc/self/task``): a child forked from a threaded process
-    may wait forever on a lock that another thread held."""
+    """Whether ``os.fork`` exists, this process runs one OS thread (one
+    entry in ``/proc/self/task``) and, where ``os.sched_getaffinity``
+    exists, may run on more than one CPU: a child forked from a threaded
+    process may wait forever on a lock that another thread held, and on one
+    CPU the child only takes turns with its parent."""
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
+        return False
     try:
         return hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
     except OSError:

@@ -61,17 +61,25 @@ def _reaped(pid) -> bool:
     return False
 
 
+@pytest.fixture(autouse=True)
+def _two_cpus(monkeypatch):
+    """Show every test two CPUs, so that ``eval`` forks on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
 def eval_both_ways(monkeypatch, capsys, argv, report=None):
     """Run ``mweid eval <argv>`` with the training corpora read in a forked
-    child, then in-process; check that the first forked one child and reaped
-    it, the second forked none, and both gave the same exit code, stdout,
-    stderr and report bytes (None for no report); return those."""
+    child, then with one CPU, so in-process; check that the first forked one
+    child and reaped it, the second forked none, and both gave the same exit
+    code, stdout, stderr and report bytes (None for no report); return
+    those."""
     outcomes = []
     for forked in (True, False):
         with monkeypatch.context() as patch:
             pids = _watch_forks(patch)
             if not forked:
-                patch.setattr(cli, "_can_fork", lambda: False)
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0})
             code = run(["eval", *map(str, argv)])
         assert len(pids) == forked and all(map(_reaped, pids))
         written = report is not None and report.exists()
@@ -649,17 +657,20 @@ class TestEval:
     # Gold and predictions are read in lockstep, training after them, a few
     # bytes at a time; each fault is still reported as a whole read of gold,
     # then of predictions, then of training would meet it. Files: "ro" is
-    # the RO fixture three times (141 lines), "late" it followed by a bad
-    # row (line 142), "early" a bad row (line 1) followed by it, "bytes"
-    # "early" with a bad byte at its end, "fr+1" the FR fixture with one
-    # sentence more than RO.
+    # the RO fixture seven times (329 lines, 9,219 bytes, so more than one
+    # 8,192-byte chunk of text mode), "late" it followed by a bad row (line
+    # 330), "early" a bad row (line 1) followed by it, "bytes" "early" with
+    # a bad byte at its end, in the second chunk, "fr+1" the FR fixture with
+    # one sentence more than RO.
     @pytest.mark.parametrize("gold, pred, train, code, message", [
         ("late", "early", "ro", EXIT_PARSE,
-         "parse error: {late}:142: expected 11 tab-separated columns, got 3"),
+         "parse error: {late}:330: expected 11 tab-separated columns, got 3"),
         ("ro", "late", "early", EXIT_PARSE,
-         "parse error: {late}:142: expected 11 tab-separated columns, got 3"),
+         "parse error: {late}:330: expected 11 tab-separated columns, got 3"),
+        ("late", "ro", "early", EXIT_PARSE,
+         "parse error: {late}:330: expected 11 tab-separated columns, got 3"),
         ("ro", "ro", "late", EXIT_PARSE,
-         "parse error: {late}:142: expected 11 tab-separated columns, got 3"),
+         "parse error: {late}:330: expected 11 tab-separated columns, got 3"),
         ("ro1", "fr+1", "ro", EXIT_ALIGNMENT,
          "alignment error: gold has 5 sentences, predictions have 6"),
         ("ro1", "fr", "ro", EXIT_ALIGNMENT,
@@ -668,30 +679,30 @@ class TestEval:
         ("ro1", "fr+1", "early", EXIT_PARSE,
          "parse error: {early}:1: expected 11 tab-separated columns, got 3"),
         ("bytes", "early", "ro", EXIT_PARSE,
-         "parse error: {bytes}: byte 3965 (0xe9) is not UTF-8"),
+         "parse error: {bytes}: byte 9233 (0xe9) is not UTF-8"),
         ("ro", "bytes", "early", EXIT_PARSE,
-         "parse error: {bytes}: byte 3965 (0xe9) is not UTF-8"),
+         "parse error: {bytes}: byte 9233 (0xe9) is not UTF-8"),
         ("ro", "ro", "bytes", EXIT_PARSE,
-         "parse error: {bytes}: byte 3965 (0xe9) is not UTF-8"),
+         "parse error: {bytes}: byte 9233 (0xe9) is not UTF-8"),
     ], ids=["gold-row-after-pred-row", "pred-against-train",
-            "train-alone", "count-against-tokens", "tokens",
-            "train-against-count", "gold-late-byte", "pred-late-byte",
-            "train-late-byte"])
+            "gold-against-train", "train-alone", "count-against-tokens",
+            "tokens", "train-against-count", "gold-late-byte",
+            "pred-late-byte", "train-late-byte"])
     def test_faults_keep_the_order_of_whole_reads(
             self, tmp_path, capsys, monkeypatch, gold, pred, train, code,
             message):
         monkeypatch.setattr(mweid.corpus, "PIECE_CHARS", 512)
         ro, fr = (open(path, "rb").read() for path in (RO, FR))
         bad = b"1\tonly\tthree\n"
-        texts = {"ro": ro * 3, "late": ro * 3 + bad,
-                 "early": bad + b"\n" + ro * 3,
-                 "bytes": bad + b"\n" + ro * 3 + b"\xe9\n",
+        texts = {"ro": ro * 7, "late": ro * 7 + bad,
+                 "early": bad + b"\n" + ro * 7,
+                 "bytes": bad + b"\n" + ro * 7 + b"\xe9\n",
                  "ro1": ro, "fr": fr, "fr+1": fr + fr[:fr.index(b"\n\n") + 2]}
         paths = {}
         for name, data in texts.items():
             paths[name] = tmp_path / f"{name}.cupt"
             paths[name].write_bytes(data)
-        assert len(texts["bytes"]) - 2 == 3965
+        assert len(texts["bytes"]) - 2 == 9233
         report = tmp_path / "report.json"
         assert eval_both_ways(
             monkeypatch, capsys, [paths[gold], paths[pred], "--train",
@@ -776,6 +787,15 @@ class TestEval:
         self.forked_then_patched(monkeypatch, capsys, tmp_path, "listdir",
                                  unlisted)
         assert len(calls) == 2
+
+    def test_no_fork_on_one_cpu(self, monkeypatch):
+        for cpus, forks in (({3}, False), ({0, 3}, True), (None, True)):
+            if cpus is None:  # as where the call does not exist
+                monkeypatch.delattr(os, "sched_getaffinity")
+            else:
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: cpus)
+            assert cli._can_fork() is forks, cpus
 
     @pytest.mark.parametrize("end, status", [
         (lambda: os._exit(1), 1),

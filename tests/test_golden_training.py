@@ -8,10 +8,11 @@ SHA-256 of every file the run writes. For each checkpoint it also holds the
 stored data of every parameter, so a failure can say by how many units in
 the last place each parameter moved.
 
-The file records the numpy version and the BLAS build that made it. Bits
-can depend on the BLAS kernel a CPU selects, so a failure names both the
-build that made the file and the one running; the tests do not skip on
-another build.
+The file records the numpy version, the BLAS build, the BLAS core (the
+kernel OpenBLAS selected for the CPU) and numpy's SIMD extensions that
+made it. Bits can depend on the code paths a CPU selects, so a failure
+names all four for the build that made the file and for the one running;
+the tests do not skip on another build.
 
 A change that alters training floats by design regenerates the file with
 
@@ -22,6 +23,7 @@ and says so where it records its changes to test data.
 
 import base64
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -75,11 +77,27 @@ RUNS = {
 }
 
 
+def blas_core() -> str | None:
+    """The name of the kernel OpenBLAS selected for this CPU, or None where
+    numpy bundles no OpenBLAS that tells it."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)),
+                           "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def numpy_build() -> dict:
-    """The numpy version and BLAS build running."""
+    """The numpy version, BLAS build, BLAS core and SIMD extensions
+    running."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}"}
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_core": blas_core(),
+            "simd": np.__config__.CONFIG["SIMD Extensions"]}
 
 
 def _files(root: Path) -> set[Path]:
@@ -159,45 +177,50 @@ def results(tmp_path_factory):
     return run_all(tmp_path_factory.mktemp("training"))
 
 
+def builds(golden) -> str:
+    """The builds that made the golden file and this run, for a failure."""
+    return f"golden made with {golden['build']}, this run with {numpy_build()}"
+
+
 @pytest.mark.parametrize("name", list(RUNS))
 def test_run_writes_the_golden_bytes(name, golden, results):
     want, got = golden["runs"][name], results[name]
-    assert want["calls"] == got["calls"], "the run's calls changed"
-    builds = (f"golden made with {golden['build']}, "
-              f"this run with {numpy_build()}")
+    assert want["calls"] == got["calls"], \
+        f"the run's calls changed; {builds(golden)}"
     assert sorted(want["sha256"]) == sorted(got["sha256"]), \
-        f"{name} wrote other files; {builds}"
+        f"{name} wrote other files; {builds(golden)}"
     for path, digest in want["sha256"].items():
         if got["sha256"][path] == digest:
             continue
-        message = f"{name}: {path} differs from the golden bytes; {builds}"
+        message = (f"{name}: {path} differs from the golden bytes; "
+                   f"{builds(golden)}")
         if path in want["checkpoints"]:
             message += "\n" + ulp_report(want["checkpoints"][path],
                                          got["checkpoints"][path])
         pytest.fail(message)
 
 
-def test_the_golden_call_retrains_the_golden_checkpoint(results):
+def test_the_golden_call_retrains_the_golden_checkpoint(golden, results):
     want = (GOLDEN / "checkpoint_v2.json").read_bytes()
     assert results["golden"]["sha256"]["golden/checkpoint.json"] \
-        == hashlib.sha256(want).hexdigest()
+        == hashlib.sha256(want).hexdigest(), builds(golden)
 
 
-def test_the_checkpoints_relate_as_the_runs_do(results):
+def test_the_checkpoints_relate_as_the_runs_do(golden, results):
     def digest(run, name):
         return results[run]["sha256"][f"{run}/{name}"]
 
     # Scoring a dev corpus leaves training as it is, and a best checkpoint
     # holds the state of its epoch.
     assert digest("dev_best_earlier", "checkpoint.json") \
-        == digest("golden", "checkpoint.json")
+        == digest("golden", "checkpoint.json"), builds(golden)
     assert digest("dev_best_earlier", "checkpoint_best.json") \
         == digest("dev_best_last", "checkpoint_best.json") \
-        == digest("dev_best_last", "checkpoint.json")
+        == digest("dev_best_last", "checkpoint.json"), builds(golden)
     # Each variant of the golden call pins a checkpoint of its own.
     variants = [digest(run, "checkpoint.json") for run in RUNS
                 if run not in ("dev_best_earlier", "tag_eval")]
-    assert len(set(variants)) == len(variants)
+    assert len(set(variants)) == len(variants), builds(golden)
 
 
 def test_the_ulp_report_names_each_parameter():
