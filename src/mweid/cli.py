@@ -5,7 +5,8 @@ RunConfig to config.json, which replays the run byte for byte (a partial
 file loads with current defaults). Exit codes are part of the contract:
 
     0  success
-    2  configuration/usage error (bad flags, missing files, bad checkpoint)
+    2  configuration/usage error (bad flags, missing or unreadable files,
+       bad checkpoint)
     3  corpus parse error
     4  training error
     5  gold/predicted alignment or tokenization mismatch
@@ -282,35 +283,21 @@ def _can_fork() -> bool:
         return False
 
 
-def _send_seen_keys(train, read_end: int, write_end: int):
-    """The forked child: pickle ``seen_lemma_keys`` of the training inputs,
-    or the exception that reading them raised, into the pipe. It leaves by
-    ``os._exit`` on every path, an interrupt included, so it never returns
-    into its caller."""
-    status = 1
-    try:
-        os.close(read_end)
-        try:
-            result = seen_lemma_keys(_read(train))
-        except Exception as err:
-            result = err
-        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-        with open(write_end, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 @contextlib.contextmanager
 def _seen_keys(train):
     """Yield a function that returns ``seen_lemma_keys`` of the training
     inputs. Where ``_can_fork`` and the pipe and the fork are made, a forked
     child reads them from now on, while the caller reads gold and
-    predictions; the function waits for its result and raises the exception
-    the read met, or a RuntimeError naming the exit status of a child that
-    ended without a result. Elsewhere the function reads them itself. On the
-    way out a child still running is killed, and every child is reaped."""
+    predictions, and sends the pickled keys, or nothing if the read or the
+    send fails; it leaves by ``os._exit`` on every path, so it never returns
+    into its caller nor flushes the caller's buffers. The function waits for
+    the child and returns its keys if it exited 0; else, as where no child
+    was forked, it reads them itself, so every fault of the training corpora
+    is raised by that one read. On the way out a child still running is
+    killed, and every child is reaped."""
+    def read():
+        return seen_lemma_keys(_read(train))
+
     ends, pid = [], None
     if _can_fork():
         try:
@@ -320,25 +307,27 @@ def _seen_keys(train):
             for end in ends:
                 os.close(end)
     if pid is None:
-        yield lambda: seen_lemma_keys(_read(train))
+        yield read
         return
     read_end, write_end = ends
     if pid == 0:
-        _send_seen_keys(train, read_end, write_end)
+        status = 1
+        try:
+            os.close(read_end)
+            data = pickle.dumps(read(), pickle.HIGHEST_PROTOCOL)
+            with open(write_end, "wb") as sink:
+                sink.write(data)
+            status = 0
+        finally:
+            os._exit(status)
     os.close(write_end)
     status = None
 
     def result():
         nonlocal status
         data = pipe.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status != 0:
-            raise RuntimeError(f"the child reading the training corpora "
-                               f"ended without a result, exit status {status}")
-        keys = pickle.loads(data)
-        if isinstance(keys, Exception):
-            raise keys
-        return keys
+        status = os.waitpid(pid, 0)[1]
+        return pickle.loads(data) if status == 0 else read()
 
     with open(read_end, "rb") as pipe:
         try:
@@ -569,6 +558,9 @@ def main(argv=None) -> int:
             except CuptError as err:
                 print(f"error: parse error: {err}", file=sys.stderr)
                 return EXIT_PARSE
+            except OSError as err:  # say, an input that cannot be opened
+                print(f"error: {err}", file=sys.stderr)
+                return EXIT_CONFIG
 
 
 if __name__ == "__main__":

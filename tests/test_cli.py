@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, file contracts."""
 
 import gc
+import itertools
 import json
 import os
 import re
 import signal
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,32 +64,56 @@ def _reaped(pid) -> bool:
 
 
 @pytest.fixture(autouse=True)
+def _no_stray_child():
+    """End, at the end of its test, a forked child that returned into the
+    test, so that it never runs the rest of the session."""
+    pid = os.getpid()
+    yield
+    if os.getpid() != pid:
+        os._exit(70)
+
+
+@pytest.fixture(autouse=True)
 def _two_cpus(monkeypatch):
     """Show every test two CPUs, so that ``eval`` forks on any host."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
 
 
-def eval_both_ways(monkeypatch, capsys, argv, report=None):
-    """Run ``mweid eval <argv>`` with the training corpora read in a forked
-    child, then with one CPU, so in-process; check that the first forked one
-    child and reaped it, the second forked none, and both gave the same exit
-    code, stdout, stderr and report bytes (None for no report); return
-    those."""
+def eval_both_ways(monkeypatch, capsys, argv, report=None,
+                   end=lambda: os._exit(1)):
+    """Run ``mweid eval <argv>`` three ways: with the training corpora read
+    in a forked child; with one CPU, so in-process; and forked with a child
+    that calls ``end`` in place of ``seen_lemma_keys``, so that this process
+    reads them. Check that the first and the third forked one child and
+    reaped it, the second forked none, each left no more descriptors open
+    than it found, and all gave the same exit code, stdout, stderr and
+    report bytes (None for no report); return those."""
+    parent, seen_lemma_keys = os.getpid(), cli.seen_lemma_keys
+
+    def failed(sentences):
+        if os.getpid() == parent:
+            return seen_lemma_keys(sentences)
+        end()
+
     outcomes = []
-    for forked in (True, False):
+    for way in ("forked", "in-process", "failed child"):
         with monkeypatch.context() as patch:
             pids = _watch_forks(patch)
-            if not forked:
+            if way == "in-process":
                 patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            elif way == "failed child":
+                patch.setattr(cli, "seen_lemma_keys", failed)
+            open_fds = len(os.listdir("/proc/self/fd"))
             code = run(["eval", *map(str, argv)])
-        assert len(pids) == forked and all(map(_reaped, pids))
+            assert len(os.listdir("/proc/self/fd")) == open_fds, way
+        assert len(pids) == (way != "in-process") and all(map(_reaped, pids))
         written = report is not None and report.exists()
         outcomes.append((code, *capsys.readouterr(),
                          report.read_bytes() if written else None))
         if written:
             report.unlink()
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
     return outcomes[0]
 
 
@@ -728,11 +754,12 @@ class TestEval:
             train.write_bytes(fixture.read())
         assert eval_both_ways(monkeypatch, capsys,
                               [RO, pred, "--train", f"RO={train}"])[0] == code
-        # A forked child's reads are not logged here: the first training
-        # read is the in-process run's, and this process read none before.
-        first_train = reads.index(str(train))
-        assert {str(RO), str(pred)} == set(reads[:first_train])
-        assert set(reads[first_train:]) == {str(train)}
+        # A forked child's reads are not logged here. The in-process run and
+        # the one whose child failed each read training here, after gold and
+        # predictions; the forked run read none here.
+        runs = [(is_train, set(paths)) for is_train, paths in itertools.groupby(
+            reads, lambda path: path == str(train))]
+        assert runs == [(False, {str(RO), str(pred)}), (True, {str(train)})] * 2
 
     @staticmethod
     def forked_then_patched(monkeypatch, capsys, tmp_path, name, patched):
@@ -797,50 +824,33 @@ class TestEval:
                                     lambda pid, cpus=cpus: cpus)
             assert cli._can_fork() is forks, cpus
 
-    @pytest.mark.parametrize("end, status", [
-        (lambda: os._exit(1), 1),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
-    ], ids=["exit-1", "sigkill"])
-    def test_a_child_without_a_result_fails_loudly(
-            self, tmp_path, monkeypatch, capsys, end, status):
-        parent = os.getpid()
-
-        def end_the_child(train):
-            if os.getpid() == parent:  # ``end`` would end this process
-                raise AssertionError("training was read in this process")
-            end()
-
-        monkeypatch.setattr(cli, "seen_lemma_keys", end_the_child)
-        report = tmp_path / "report.json"
-        with pytest.raises(RuntimeError, match=f"exit status {status}$"):
-            run(["eval", RO, RO, "--train", RO, "--report", str(report)])
-        assert capsys.readouterr().out == ""
-        assert not report.exists()
-
-    @pytest.mark.parametrize("picklable", [True, False],
-                             ids=["sent", "unpicklable"])
-    def test_an_exception_in_the_child_ends_the_child(
-            self, tmp_path, monkeypatch, capsys, picklable):
+    @pytest.mark.parametrize("ending", ["exit-1", "sigkill", "picklable",
+                                        "unpicklable"])
+    def test_a_child_that_ends_without_keys_leaves_the_read_here(
+            self, tmp_path, monkeypatch, capsys, ending):
         class Planted(Exception):  # a local class does not pickle
             pass
 
-        planted = ValueError("planted") if picklable else Planted("planted")
+        def fail(error):
+            raise error
+
+        end = {"exit-1": lambda: os._exit(1),
+               "sigkill": lambda: os.kill(os.getpid(), signal.SIGKILL),
+               "picklable": lambda: fail(ValueError("planted")),
+               "unpicklable": lambda: fail(Planted("planted"))}[ending]
         parent, log = os.getpid(), tmp_path / "after_run.log"
-
-        def fail(train):
-            assert os.getpid() != parent, "training was read in this process"
-            raise planted
-
-        monkeypatch.setattr(cli, "seen_lemma_keys", fail)
-        with pytest.raises(ValueError if picklable else RuntimeError,
-                           match="planted" if picklable else "exit status 1$"):
-            try:
-                run(["eval", RO, RO, "--train", RO])
-            finally:
-                with open(log, "a") as handle:
-                    handle.write(f"{os.getpid()}\n")
-                if os.getpid() != parent:  # a child that got this far
-                    os._exit(0)
+        report = tmp_path / "report.json"
+        try:
+            code, table, _, _ = eval_both_ways(
+                monkeypatch, capsys, [RO, RO, "--train", f"RO={RO}",
+                                      "--train", f"FR={FR}", "--report",
+                                      report], report, end)
+        finally:
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            if os.getpid() != parent:  # a child that got this far
+                os._exit(0)
+        assert code == EXIT_OK and "100.00" in table
         assert log.read_text() == f"{parent}\n"
 
 
@@ -914,6 +924,68 @@ class TestStats:
         (tmp_path / "ro.cupt").write_bytes(open(RO, "rb").read())
         assert run(["stats", "data=ro.cupt"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[2].startswith("data ")
+
+
+class TestUnopenable:
+    """An input or checkpoint that exists but cannot be opened exits 2 with
+    one error line naming it, and writes nothing. Tests run as root read
+    any file whatever its mode, so ``open`` is replaced in the reading
+    module instead."""
+    CHECKPOINT = Path(__file__).parent / "golden" / "checkpoint_v1.json"
+
+    @staticmethod
+    def refuse(monkeypatch, module, path):
+        """Make ``open`` in ``module`` refuse ``path`` as a file this
+        process may not read; every other path opens as before."""
+        def refused(file, *args, **kwargs):
+            if str(file) == str(path):
+                raise PermissionError(13, "Permission denied", str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(module, "open", refused, raising=False)
+        return f"error: [Errno 13] Permission denied: '{path}'\n"
+
+    @pytest.fixture
+    def copy(self, tmp_path):
+        copy = tmp_path / "ro.cupt"
+        copy.write_bytes(Path(RO).read_bytes())
+        return copy
+
+    def test_stats(self, monkeypatch, capsys, copy):
+        error = self.refuse(monkeypatch, mweid.corpus, copy)
+        assert run(["stats", f"RO={RO}", str(copy)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", error)
+
+    @pytest.mark.parametrize("which", ["input", "checkpoint"])
+    def test_tag(self, tmp_path, monkeypatch, capsys, copy, which):
+        module, path = (model_mod, self.CHECKPOINT) if which == "checkpoint" \
+            else (mweid.corpus, copy)
+        error = self.refuse(monkeypatch, module, path)
+        out = tmp_path / "tagged.cupt"
+        assert run(["tag", str(self.CHECKPOINT), str(copy), str(out)]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr() == ("", error)
+        assert sorted(tmp_path.iterdir()) == [copy]
+
+    def test_train(self, tmp_path, monkeypatch, capsys, copy):
+        error = self.refuse(monkeypatch, mweid.corpus, copy)
+        out = tmp_path / "run"
+        assert run(["train", "--train", f"RO={copy}", "--out", str(out),
+                    "--epochs", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", error)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["gold", "train"])
+    def test_eval(self, tmp_path, monkeypatch, capsys, copy, which):
+        # For "train" the forked child's read fails too, so it sends nothing
+        # and this process's read raises.
+        error = self.refuse(monkeypatch, mweid.corpus, copy)
+        gold, train = (copy, RO) if which == "gold" else (RO, copy)
+        report = tmp_path / "report.json"
+        assert eval_both_ways(monkeypatch, capsys,
+                              [gold, RO, "--train", f"RO={train}",
+                               "--report", report], report) \
+            == (EXIT_CONFIG, "", error, None)
 
 
 class TestInputsCheckedFirst:

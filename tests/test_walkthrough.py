@@ -10,7 +10,11 @@ makes; the rest of the walkthrough is held by the tests of ``test_cli.py``,
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,3 +113,26 @@ def test_the_best_checkpoint_scores_as_training_recorded(walk, run, dev):
     assert (scores["global"]["f1"], scores["unseen"]["f1"]) \
         == (round2(summary["best_dev_global_f1"]),
             round2(best["dev_unseen_f1"]))
+
+
+def test_a_forked_child_never_flushes_the_callers_stdout(walk, capsys):
+    # A process whose stdout is a file holds "before" in its buffer when
+    # eval forks, unless PYTHONUNBUFFERED is set; a child that flushed it
+    # would write it a second time.
+    argv = ["eval", "ro.cupt", "predictions.cupt", *SEEN]
+    assert main(argv) == EXIT_OK
+    table = capsys.readouterr().out
+    script = ("import os, sys\n"
+              "import mweid.cli\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "assert mweid.cli._can_fork()\n"
+              "print('before')\n"
+              f"sys.exit(mweid.cli.main({argv!r}))\n")
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(mweid.__file__).parents[1])
+    with open("stdout.txt", "wb") as stdout:
+        done = subprocess.run([sys.executable, "-c", script], stdout=stdout,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert (walk / "stdout.txt").read_text() == "before\n" + table
