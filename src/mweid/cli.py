@@ -6,7 +6,7 @@ file loads with current defaults). Exit codes are part of the contract:
 
     0  success
     2  configuration/usage error (bad flags, missing or unreadable files,
-       bad checkpoint)
+       bad checkpoint, an eval report that names an input)
     3  corpus parse error
     4  training error
     5  gold/predicted alignment or tokenization mismatch
@@ -285,18 +285,19 @@ def _can_fork() -> bool:
 
 @contextlib.contextmanager
 def _seen_keys(train):
-    """Yield a function that returns ``seen_lemma_keys`` of the training
-    inputs. Where ``_can_fork`` and the pipe and the fork are made, a forked
-    child reads them from now on, while the caller reads gold and
-    predictions, and sends the pickled keys, or nothing if the read or the
-    send fails; it leaves by ``os._exit`` on every path, so it never returns
-    into its caller nor flushes the caller's buffers. The function waits for
-    the child and returns its keys if it exited 0; else, as where no child
-    was forked, it reads them itself, so every fault of the training corpora
-    is raised by that one read. On the way out a child still running is
-    killed, and every child is reaped."""
+    """Yield an iterable of ``seen_lemma_keys`` of the training inputs that
+    reads them only when it is first iterated. Where ``_can_fork`` and the
+    pipe and the fork are made, a forked child reads them from now on, while
+    the caller reads gold and predictions, and sends the pickled keys, or
+    nothing if the read or the send fails; it leaves by ``os._exit`` on
+    every path, so it never returns into its caller nor flushes the caller's
+    buffers. There the first iteration waits for the child and takes its
+    keys if it exited 0; else, as where no child was forked, it reads them
+    itself, so every fault of the training corpora is raised by that one
+    read. On the way out a child still running is killed, and every child
+    is reaped."""
     def read():
-        return seen_lemma_keys(_read(train))
+        yield from seen_lemma_keys(_read(train))
 
     ends, pid = [], None
     if _can_fork():
@@ -307,14 +308,15 @@ def _seen_keys(train):
             for end in ends:
                 os.close(end)
     if pid is None:
-        yield read
+        yield read()
         return
     read_end, write_end = ends
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
-            data = pickle.dumps(read(), pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps(seen_lemma_keys(_read(train)),
+                                pickle.HIGHEST_PROTOCOL)
             with open(write_end, "wb") as sink:
                 sink.write(data)
             status = 0
@@ -323,15 +325,15 @@ def _seen_keys(train):
     os.close(write_end)
     status = None
 
-    def result():
+    def received():
         nonlocal status
         data = pipe.read()
         status = os.waitpid(pid, 0)[1]
-        return pickle.loads(data) if status == 0 else read()
+        yield from pickle.loads(data) if status == 0 else read()
 
     with open(read_end, "rb") as pipe:
         try:
-            yield result
+            yield received()
         finally:
             if status is None:
                 os.kill(pid, signal.SIGKILL)
@@ -342,19 +344,19 @@ def cmd_eval(args) -> int:
     if args.report:
         _check_output_file(Path(args.report), force=True)
     gold, pred, *train = _inputs([args.gold, args.pred, *args.train])
+    if args.report and Path(args.report).exists():
+        for _, path in (gold, pred, *train):
+            if Path(args.report).samefile(path):
+                raise CliError(f"--report {args.report} names the input {path}")
 
-    with _seen_keys(train) as seen_keys:
-        def seen():
-            # Taken only once gold and predictions are read, so that faults
-            # come in the order of whole reads of gold, predictions, then
-            # training.
-            yield from seen_keys()
-
+    # score reads the seen keys only after the last pair, so faults come in
+    # the order of whole reads of gold, predictions, then training.
+    with _seen_keys(train) as seen:
         try:
-            result = score(aligned(_read([gold]), _read([pred])), seen(),
+            result = score(aligned(_read([gold]), _read([pred])), seen,
                            args.category_sensitive)
         except (AlignmentMismatch, TokenizationMismatch) as err:
-            seen_keys()  # a training fault comes first
+            set(seen)  # read, so that a training fault comes first
             raise CliError(f"alignment error: {err}", EXIT_ALIGNMENT) from err
     print(format_table(result, label=args.label))
     if args.report:

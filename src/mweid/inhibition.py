@@ -15,8 +15,6 @@ a rescaling, while training still receives a usable learning signal.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .autodiff import (Parameter, Tensor, _expit, _node, _require_2d, add,
@@ -42,16 +40,8 @@ def zero_diag(m: Tensor) -> Tensor:
     _require_2d(m, "zero_diag")
     if m.shape[0] != m.shape[1]:
         raise NotSquare(f"zero_diag expects a square matrix, got {m.shape}")
-    mask = _off_diagonal(m.shape[0])
+    mask = 1.0 - np.eye(m.shape[0])
     return _node(m.data * mask, ((m, lambda g: g * mask),), "zero_diag")
-
-
-@functools.cache
-def _off_diagonal(width: int) -> np.ndarray:
-    """Read-only [width, width] mask: 0.0 on the diagonal, 1.0 elsewhere."""
-    mask = 1.0 - np.eye(width)
-    mask.flags.writeable = False
-    return mask
 
 
 def heaviside_surrogate(x: Tensor, k: float) -> Tensor:

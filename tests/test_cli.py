@@ -671,6 +671,25 @@ class TestEval:
             in capsys.readouterr().err
         assert not report.parent.exists()
 
+    @pytest.mark.parametrize("role, spelling", [
+        ("gold", "ro.cupt"), ("pred", "ro.cupt"), ("train", "ro.cupt"),
+        ("pred", "./sub/../ro.cupt"), ("train", "link.cupt")])
+    def test_a_report_that_names_an_input_is_refused(
+            self, tmp_path, capsys, monkeypatch, role, spelling):
+        _refuse_reading(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        copy = tmp_path / "ro.cupt"
+        copy.write_bytes(Path(RO).read_bytes())
+        (tmp_path / "link.cupt").symlink_to(copy)
+        gold, pred, train = (str(copy) if role == name else RO
+                             for name in ("gold", "pred", "train"))
+        assert run(["eval", gold, pred, "--train", f"FR={FR}", "--train",
+                    f"RO={train}", "--report", spelling]) == EXIT_CONFIG
+        assert capsys.readouterr().err \
+            == f"error: --report {spelling} names the input {copy}\n"
+        assert copy.read_bytes() == Path(RO).read_bytes()
+
     def test_alignment_mismatch_exit_code(self, tmp_path):
         assert run(["eval", RO, FR, "--train", f"RO={RO}"]) == EXIT_ALIGNMENT
 
@@ -740,26 +759,34 @@ class TestEval:
                              ids=["aligned", "mismatch"])
     def test_training_is_read_after_gold_and_predictions(
             self, tmp_path, monkeypatch, capsys, pred, code):
-        reads = []
-        iter_cupt = cli.iter_cupt
+        reads, iter_cupt, cmd_eval = [], cli.iter_cupt, cli.cmd_eval
 
         def logged(path, language=None):
             for sentence in iter_cupt(path, language):
-                reads.append(path)
+                reads[-1].append(path)
                 yield sentence
 
+        def marked(args):
+            reads.append([])
+            return cmd_eval(args)
+
         monkeypatch.setattr(cli, "iter_cupt", logged)
+        monkeypatch.setattr(cli, "cmd_eval", marked)
         train = tmp_path / "train.cupt"
         with open(RO, "rb") as fixture:
             train.write_bytes(fixture.read())
         assert eval_both_ways(monkeypatch, capsys,
                               [RO, pred, "--train", f"RO={train}"])[0] == code
-        # A forked child's reads are not logged here. The in-process run and
-        # the one whose child failed each read training here, after gold and
-        # predictions; the forked run read none here.
-        runs = [(is_train, set(paths)) for is_train, paths in itertools.groupby(
-            reads, lambda path: path == str(train))]
-        assert runs == [(False, {str(RO), str(pred)}), (True, {str(train)})] * 2
+        # A forked child's reads are not logged here: the forked run read
+        # only gold and predictions here. The in-process run and the one
+        # whose child failed each read training here, after gold and
+        # predictions.
+        runs = [[(is_train, set(paths)) for is_train, paths in
+                 itertools.groupby(log, lambda path: path == str(train))]
+                for log in reads]
+        both = [(False, {str(RO), str(pred)})]
+        assert runs == [both, both + [(True, {str(train)})],
+                        both + [(True, {str(train)})]]
 
     @staticmethod
     def forked_then_patched(monkeypatch, capsys, tmp_path, name, patched):
