@@ -6,18 +6,21 @@ walks the interior nodes once in reverse topological order: it sums
 their adjoints, adds each contribution into a Parameter leaf straight
 into its gradient, and computes none for a constant (a leaf that is not
 a Parameter). The graph is rebuilt by every forward pass. A Parameter
-allocates its value and gradient arrays once and writes both in place,
-only in the rows it names: an embedding lookup hands a Parameter table
-a RowSparse adjoint that names the rows a step used, any other adjoint
-names them all. A RowSparse adjoint sums the rows of each id with one
-``np.bincount``, adding them in order of occurrence as ``np.add.at``
-does, so its sums are bitwise those of the dense adjoint.
+writes its value and gradient arrays in place and never rebinds them
+(an ``Arena`` holds them as views into two flat buffers), and writes
+its gradient only in the rows it names: an embedding lookup hands a
+Parameter table a RowSparse adjoint that names the rows a step used,
+any other adjoint names them all. A RowSparse adjoint sums the rows of
+each id with one ``np.bincount``, adding them in order of occurrence as
+``np.add.at`` does, so its sums are bitwise those of the dense adjoint.
 
 Broadcasting is deliberately restricted to a trailing-axis vector
 (bias-style) in add; everything else requires exact shapes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -61,36 +64,42 @@ _NO_ROWS = np.zeros(0, dtype=np.int64)
 ALL_ROWS = ...  # indexes every entry, of a 0-d array too
 
 
+_DATA = Tensor.data  # the slot that holds every tensor's value
+
+
 class Parameter(Tensor):
     """A named trainable leaf tensor and its accumulated gradient.
 
     ``data`` is a copy of the given array, and it and ``grad`` are written
-    in place only. ``rows`` indexes the entries of ``grad`` written since
-    the last ``zero_grad``, which are the only ones that may be nonzero:
-    sorted row ids, or ``ALL_ROWS``.
+    in place only: rebinding either raises AttributeError, since a rebound
+    array would no longer be the one an ``Arena`` updates. ``rows`` indexes
+    the entries of ``grad`` written since the last ``zero_grad``, which
+    are the only ones that may be nonzero: sorted row ids, or ``ALL_ROWS``.
     """
 
-    __slots__ = ("name", "grad", "rows")
+    __slots__ = ("name", "_grad", "rows")
 
     def __init__(self, data, name: str):
-        super().__init__(np.array(data, dtype=np.float64), op="param")
+        _DATA.__set__(self, np.array(data, dtype=np.float64))
+        self.vjps = ()
+        self.op = "param"
         self.name = name
-        self.grad = np.zeros_like(self.data)
+        self._grad = np.zeros_like(self.data)
         self.rows = _NO_ROWS
 
     def zero_grad(self) -> None:
-        self.grad[self.rows] = 0.0
+        self._grad[self.rows] = 0.0
         self.rows = _NO_ROWS
 
     def accumulate(self, adjoint) -> None:
         """Add an adjoint into ``grad``; a RowSparse one only in its rows,
         with the same float result as adding it densified."""
         if not isinstance(adjoint, RowSparse):
-            self.grad += adjoint
+            self._grad += adjoint
             self.rows = ALL_ROWS
             return
         ids, sums = adjoint.summed()
-        self.grad[ids] += sums
+        self._grad[ids] += sums
         if self.rows is _NO_ROWS:
             self.rows = ids  # already sorted and distinct
         elif self.rows is not ALL_ROWS:
@@ -98,6 +107,46 @@ class Parameter(Tensor):
 
     def __repr__(self) -> str:
         return f"Parameter({self.name}, shape={self.shape})"
+
+
+def _written_in_place(slot, what: str) -> property:
+    """Read ``slot``; refuse to bind it to any other array. ``p.grad += g``
+    writes in place and then binds the array it wrote, so it passes."""
+    def rebind(param, value):
+        if value is not slot.__get__(param):
+            raise AttributeError(f"Parameter {param.name}: {what} is written "
+                                 f"in place and never rebound")
+    return property(slot.__get__, rebind)
+
+
+Parameter.data = _written_in_place(_DATA, "data")
+Parameter.grad = _written_in_place(Parameter._grad, "grad")
+
+
+class Arena:
+    """Parameters whose values are views into one flat buffer, ``data``,
+    and whose gradients are views into a second, ``grad``: one call
+    zeroes every gradient, and ``data -= alpha * grad`` is a plain SGD
+    step of every value, the same floats as one step per parameter. Only
+    dense parameters belong here: each call reads and writes every entry,
+    even one that no gradient reached (``x - alpha * 0.0 == x``), so a
+    large table updated in a few rows per step stays out.
+    """
+
+    def __init__(self, params):
+        self.params = list(params)
+        self.data = np.concatenate([p.data.reshape(-1) for p in self.params])
+        self.grad = np.concatenate([p.grad.reshape(-1) for p in self.params])
+        stop = 0
+        for param in self.params:
+            start, stop = stop, stop + param.data.size
+            _DATA.__set__(param, self.data[start:stop].reshape(param.shape))
+            param._grad = self.grad[start:stop].reshape(param.shape)
+
+    def zero_grad(self) -> None:
+        self.grad.fill(0.0)
+        for param in self.params:
+            param.rows = _NO_ROWS
 
 
 class RowSparse:
@@ -158,6 +207,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                  ((a, lambda g: g @ b_data.T),
                   (b, lambda g: a_data.T @ g)),
                  "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``add(matmul(x, w), b)`` as one node, for a bias vector ``b``: the
+    same forward expression and the same vjps, so the same floats."""
+    x_data, w_data, b_data = x.data, w.data, b.data
+    if x_data.ndim != 2 or w_data.ndim != 2 or x_data.shape[1] != len(w_data) \
+            or b_data.shape != w_data.shape[1:]:
+        raise ShapeMismatch(f"linear: {x.shape} @ {w.shape} + {b.shape}")
+    return _node(x_data @ w_data + b_data,
+                 ((x, lambda g: g @ w_data.T),
+                  (w, lambda g: x_data.T @ g),
+                  (b, lambda g: g.sum(axis=0))),
+                 "linear")
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -290,7 +353,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     totals = exp.sum(axis=1, keepdims=True)
     rows = np.arange(n)
     # The labels' log-probabilities alone: shifted - log(total), per row.
-    loss = -(shifted[rows, labels] - np.log(totals[:, 0])).mean()
+    loss = -(shifted[rows, labels] - np.log(totals[:, 0])).sum() / n
 
     def vjp(g):
         grad = exp / totals
@@ -308,6 +371,8 @@ def grad_reverse(x: Tensor, lam: float) -> Tensor:
     their coefficients.
     """
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"reversal coefficient must be finite, got {lam}")
     if lam < 0:
         raise ValueError(f"reversal coefficient must be >= 0, got {lam}")
     if lam == 0.0:

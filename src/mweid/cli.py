@@ -420,6 +420,12 @@ def _gradcheck_cases(corrupt_adjoint: bool):
     cases.append(("lateral_inhibition_relaxed", layer.parameters(),
                   lambda: ad.sum_all(layer.forward_relaxed(x_li))))
 
+    # Every input a Parameter, so the vjp into x is checked too, and the
+    # bias broadcast over more than one row.
+    lx, lw, lb = p((3, 4), "linear.x"), p((4, 2), "linear.w"), p(2, "linear.b")
+    cases.append(("linear", [lx, lw, lb],
+                  lambda: ad.sum_all(ad.sigmoid(ad.linear(lx, lw, lb)))))
+
     if corrupt_adjoint:
         # Test hook: a deliberately wrong backward rule that the finite
         # differences must flag.

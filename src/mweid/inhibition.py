@@ -15,10 +15,14 @@ a rescaling, while training still receives a usable learning signal.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .autodiff import (Parameter, Tensor, _expit, _node, _require_2d, add,
-                       matmul, mul, scale, sigmoid, transpose)
+# matmul is not called here; the benchmark's tracer test (bench/test_bench.py)
+# checks that it patches the op under this name too, so it stays importable.
+from .autodiff import (Parameter, Tensor, _expit, _node, _require_2d, linear,
+                       matmul, mul, scale, sigmoid, transpose)  # noqa: F401
 
 
 # Zero weights with this small positive bias start every gate open, so
@@ -52,6 +56,8 @@ def heaviside_surrogate(x: Tensor, k: float) -> Tensor:
     only when backward reaches the node, so tagging never pays for it.
     """
     k = float(k)
+    if not math.isfinite(k):
+        raise ValueError(f"surrogate steepness must be finite, got {k}")
     if k <= 0:
         raise ValueError(f"surrogate steepness must be positive, got {k}")
     x_data = x.data
@@ -78,6 +84,8 @@ class LateralInhibitionLayer:
         if bias.shape != (weight.shape[0],):
             raise ValueError(
                 f"bias shape {bias.shape} does not match width {weight.shape[0]}")
+        if not math.isfinite(steepness):
+            raise ValueError(f"steepness must be finite, got {steepness}")
         if steepness <= 0:
             raise ValueError(f"steepness must be positive, got {steepness}")
         self.weight = weight
@@ -92,7 +100,7 @@ class LateralInhibitionLayer:
         return [self.weight, self.bias]
 
     def _pre_activation(self, x: Tensor) -> Tensor:
-        return add(matmul(x, zero_diag(transpose(self.weight))), self.bias)
+        return linear(x, zero_diag(transpose(self.weight)), self.bias)
 
     def forward(self, x: Tensor) -> Tensor:
         """Gate each row of x: output elements are exactly 0 or x[i][j]."""

@@ -224,7 +224,7 @@ class FeatureExtractor:
         """One hidden-width row per token; windows padded at sentence edges."""
         batch = sentence if isinstance(sentence, Batch) else self.encode([sentence])
         window = ad.embedding_lookup(self.embedding, batch.windows)
-        return ad.relu(ad.add(ad.matmul(window, self.hidden_w), self.hidden_b))
+        return ad.relu(ad.linear(window, self.hidden_w, self.hidden_b))
 
 
 class TagClassifier:
@@ -242,7 +242,7 @@ class TagClassifier:
 
     def logits(self, features: Tensor) -> Tensor:
         gated = features if self.inhibition is None else self.inhibition.forward(features)
-        return ad.add(ad.matmul(gated, self.head_w), self.head_b)
+        return ad.linear(gated, self.head_w, self.head_b)
 
 
 class LanguageDiscriminator:
@@ -259,8 +259,8 @@ class LanguageDiscriminator:
 
     def logits(self, pooled: Tensor, lam: float) -> Tensor:
         reversed_ = ad.grad_reverse(pooled, lam)
-        hidden = ad.relu(ad.add(ad.matmul(reversed_, self.w1), self.b1))
-        return ad.add(ad.matmul(hidden, self.w2), self.b2)
+        hidden = ad.relu(ad.linear(reversed_, self.w1, self.b1))
+        return ad.linear(hidden, self.w2, self.b2)
 
     def language_id(self, code: str | None) -> int:
         if code is None or code not in self.lang_index:
@@ -270,7 +270,12 @@ class LanguageDiscriminator:
 
 
 class MweTagger:
-    """The assembled architecture plus its label/language inventories."""
+    """The assembled architecture plus its label/language inventories.
+
+    ``arena`` holds the values and gradients of every parameter but the
+    row-sparse embedding table, so a training step zeroes and updates
+    them with one call each.
+    """
 
     def __init__(self, config: ModelConfig, extractor: FeatureExtractor,
                  classifier: TagClassifier,
@@ -282,6 +287,8 @@ class MweTagger:
         self.discriminator = discriminator
         self.tagset = tagset
         self.tag_index = {tag: i for i, tag in enumerate(tagset)}
+        self.arena = ad.Arena(p for p in self.parameters()
+                              if p is not extractor.embedding)
 
     @classmethod
     def build(cls, config: ModelConfig, corpus: Corpus) -> "MweTagger":

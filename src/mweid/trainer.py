@@ -11,9 +11,11 @@ update rules at learning rate alpha:
 The tag loss is the mean token-level cross-entropy over the whole
 batch; the language loss is the mean sentence-level cross-entropy. No
 momentum, weight decay, or loss weighting beyond lam is applied;
-gradient-norm clipping is available behind a flag. Fixed seeds give
-bitwise-reproducible parameters. A dev corpus is scored after every
-epoch from the instances decoded from its tags.
+gradient-norm clipping is available behind a flag. The model's arena
+zeroes and updates every dense parameter with one call each; the
+embedding table is zeroed and updated in the rows a step used. Fixed
+seeds give bitwise-reproducible parameters. A dev corpus is scored
+after every epoch from the instances decoded from its tags.
 """
 
 from __future__ import annotations
@@ -179,8 +181,9 @@ def train_step(model: MweTagger, batch: list[Sentence] | Batch, alpha: float,
         if not batch:
             raise EmptyBatch("train_step needs at least one sentence")
         batch = encode(model, batch)
-    params = model.parameters()
-    ad.zero_grads(params)
+    dense, table = model.arena, model.extractor.embedding
+    dense.zero_grad()
+    table.zero_grad()
 
     tag_logits, lang_logits = model.forward(batch, lam=lam)
     loss_y = ad.softmax_cross_entropy(tag_logits, batch.tags)
@@ -194,9 +197,10 @@ def train_step(model: MweTagger, batch: list[Sentence] | Batch, alpha: float,
 
     ad.backward(total)
     if clip_grad is not None:
-        _clip_gradients(params, clip_grad)
-    for param in params:  # any other entry would get x - alpha * 0.0 == x
-        param.data[param.rows] -= alpha * param.grad[param.rows]
+        _clip_gradients(model.parameters(), clip_grad)
+    dense.data -= alpha * dense.grad
+    # Any other row of the table would get x - alpha * 0.0 == x.
+    table.data[table.rows] -= alpha * table.grad[table.rows]
     return float(loss_y.data), lang_loss, lang_correct
 
 

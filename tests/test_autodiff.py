@@ -124,6 +124,51 @@ class TestForward:
         with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
             call()
 
+    @pytest.mark.parametrize("x, w, b", [
+        (np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2)),
+        (np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(3)),
+        (np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((2, 2))),
+        (np.zeros(3), np.zeros((3, 2)), np.zeros(2)),
+        (np.zeros((2, 3)), np.zeros(3), np.zeros(())),
+    ], ids=["inner", "bias-width", "bias-matrix", "x-1d", "w-1d"])
+    def test_linear_shape_faults(self, x, w, b):
+        message = f"linear: {x.shape} @ {w.shape} + {b.shape}"
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            ad.linear(ad.tensor(x), ad.tensor(w), ad.tensor(b))
+
+
+class TestParameter:
+    def test_arrays_are_written_in_place_and_never_rebound(self):
+        p = param([[1.0, 2.0]])
+        data, grad = p.data, p.grad
+        for name in ("data", "grad"):
+            with pytest.raises(AttributeError, match=f"^Parameter p: {name} is "
+                                                     f"written in place and "
+                                                     f"never rebound$"):
+                setattr(p, name, np.zeros((1, 2)))
+        p.data[...] = [[3.0, 4.0]]
+        p.data += 1.0  # in place, then bound to the array it wrote
+        p.grad[0, 1] = 5.0
+        p.grad *= 2.0
+        assert p.data is data and p.grad is grad
+        assert p.data.tolist() == [[4.0, 5.0]]
+        assert p.grad.tolist() == [[0.0, 10.0]]
+
+    def test_an_arena_holds_values_and_gradients_as_views(self):
+        w, b = param([[1.0, 2.0], [3.0, 4.0]], "w"), param([5.0, 6.0], "b")
+        b.grad[...] = [7.0, 8.0]
+        arena = ad.Arena([w, b])
+        assert arena.data.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert arena.grad.tolist() == [0.0] * 4 + [7.0, 8.0]
+        assert (w.shape, b.shape) == ((2, 2), (2,))
+        arena.data[4] = -1.0
+        w.accumulate(np.array([[0.0, 0.0], [9.0, 0.0]]))
+        assert b.data.tolist() == [-1.0, 6.0]
+        assert arena.grad[2] == 9.0 and w.rows is ad.ALL_ROWS
+        arena.zero_grad()
+        assert not w.grad.any() and not b.grad.any()
+        assert w.rows.size == 0 and b.rows.size == 0
+
 
 class TestBackward:
     def test_grad_of_sum_is_ones(self):
@@ -354,6 +399,30 @@ class TestFastPathsMatchReferences:
                                          (vocab, width)).dense()
             assert not np.array_equal(reversed_sums, dense)
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_linear_is_add_of_matmul_bitwise(self, rows):
+        # One row is what the discriminator sees at batch 1.
+        rng = np.random.default_rng(33 + rows)
+
+        def spread(*shape):  # magnitudes over 16 decades
+            return (rng.standard_normal(shape)
+                    * 10.0 ** rng.integers(-8, 8, shape))
+
+        x, w, b = ad.tensor(spread(rows, 5)), param(spread(5, 3), "w"), \
+            param(spread(3), "b")
+        g = spread(rows, 3)
+        node = ad.linear(x, w, b)
+        product = ad.matmul(x, w)
+        summed = ad.add(product, b)
+        assert node.op == "linear"
+        assert np.array_equal(bits(node.data), bits(summed.data))
+        assert [parent for parent, _ in node.vjps] == [x, w, b]
+        to_x, to_w, to_b = (vjp for _, vjp in node.vjps)
+        g_product = summed.vjps[0][1](g)
+        assert np.array_equal(bits(to_x(g)), bits(product.vjps[0][1](g_product)))
+        assert np.array_equal(bits(to_w(g)), bits(product.vjps[1][1](g_product)))
+        assert np.array_equal(bits(to_b(g)), bits(summed.vjps[1][1](g)))
+
     def test_expit_is_the_masked_form_bitwise(self):
         rng = np.random.default_rng(32)
         special = np.array([0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0,
@@ -454,6 +523,12 @@ class TestGradReverse:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             grad_reverse(ad.tensor([[1.0]]), -0.1)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match=f"^reversal coefficient must be "
+                                             f"finite, got {lam}$"):
+            grad_reverse(ad.tensor([[1.0]]), lam)
 
 
 class TestFiniteDifference:

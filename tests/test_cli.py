@@ -895,7 +895,8 @@ class TestGradcheck:
     @pytest.mark.parametrize("inject", [False, True])
     def test_each_line_names_its_case_and_status(self, capsys, inject):
         ops = ["matmul", "sigmoid", "relu", "embedding", "embedding_window",
-               "cross_entropy", "zero_diag", "lateral_inhibition_relaxed"]
+               "cross_entropy", "zero_diag", "lateral_inhibition_relaxed",
+               "linear"]
         want = [(name, "ok") for name in ops]
         if inject:
             want.append(("corrupted_adjoint", "FAIL"))
@@ -912,8 +913,28 @@ class TestGradcheck:
             assert summary == "gradient check FAILED: corrupted_adjoint"
         else:
             assert code == EXIT_OK
-            assert summary == ("gradient check passed (8 operations, "
+            assert summary == ("gradient check passed (9 operations, "
                                "threshold 1e-05)")
+
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["x", "w", "b"])
+    def test_linear_case_checks_the_vjp_of_each_input(self, monkeypatch,
+                                                       index):
+        linear = cli.ad.linear
+
+        def corrupted(*inputs):
+            node = linear(*inputs)
+            pairs = list(node.vjps)
+            parent, vjp = pairs[index]
+            pairs[index] = (parent, lambda g: vjp(g) * 1.01)
+            node.vjps = tuple(pairs)
+            return node
+
+        monkeypatch.setattr(cli.ad, "linear", corrupted)
+        cases, _, _ = cli._gradcheck_cases(corrupt_adjoint=False)
+        [(params, f)] = [(params, f) for name, params, f in cases
+                         if name == "linear"]
+        assert cli.ad.finite_difference_check(f, params) \
+            > cli.GRADCHECK_THRESHOLD
 
     @pytest.mark.parametrize("step", ["0", "nan", "inf", "-1e-5"])
     def test_step_must_be_finite_and_positive(self, capsys, step):

@@ -69,6 +69,12 @@ class TestHeavisideSurrogate:
         with pytest.raises(ValueError):
             heaviside_surrogate(ad.tensor([[1.0]]), 0.0)
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_non_finite_steepness_rejected(self, k):
+        with pytest.raises(ValueError, match=f"^surrogate steepness must be "
+                                             f"finite, got {k}$"):
+            heaviside_surrogate(ad.tensor([[1.0]]), k)
+
 
 class TestForward:
     def test_positive_bias_passes_input_through(self):
@@ -108,6 +114,12 @@ class TestForward:
                            match="^steepness must be positive, got -1.0$"):
             layer_from(np.zeros((2, 2)), np.zeros(2), k=-1.0)
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_non_finite_steepness_rejected(self, k):
+        with pytest.raises(ValueError,
+                           match=f"^steepness must be finite, got {k}$"):
+            layer_from(np.zeros((2, 2)), np.zeros(2), k=k)
+
 
 class TestSelectivity:
     @given(st.integers(min_value=0, max_value=100_000))
@@ -125,7 +137,7 @@ class TestSelectivity:
         layer = random_layer(rng, 4)
         x = ad.tensor(rng.uniform(-2, 2, (3, 4)))
         base = layer.forward(x).data.copy()
-        layer.weight.data = layer.weight.data + np.diag(rng.uniform(5, 9, 4))
+        layer.weight.data[...] += np.diag(rng.uniform(5, 9, 4))
         assert np.array_equal(layer.forward(x).data, base)
 
     def test_diagonal_gradient_exactly_zero(self):

@@ -229,10 +229,8 @@ class TestPredict:
     def test_tie_breaks_to_lowest_index(self, tiny_corpus):
         model = MweTagger.build(small_config(), tiny_corpus)
         # Zero head weights and bias force all-equal logits per token.
-        model.classifier.head_w.data = np.zeros_like(
-            model.classifier.head_w.data)
-        model.classifier.head_b.data = np.zeros_like(
-            model.classifier.head_b.data)
+        model.classifier.head_w.data[...] = 0.0
+        model.classifier.head_b.data[...] = 0.0
         assert model.predict_tags([make_sentence(["ana", "are"])]) \
             == [["O", "O"]]
 
@@ -757,7 +755,7 @@ class TestBatch:
         model = MweTagger.build(small_config(), tiny_corpus)
         rng = np.random.default_rng(4)
         for param in model.parameters():
-            param.data = rng.uniform(-1, 1, param.shape)
+            param.data[...] = rng.uniform(-1, 1, param.shape)
         sentences = [make_sentence(["ana", "are", "mere", "le"]),
                      make_sentence(["chat"]), tiny_corpus.sentences[0]]
         tag_logits, lang_logits = model.forward(

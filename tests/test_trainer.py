@@ -400,6 +400,18 @@ class TestDivergence:
                   TrainerConfig(alpha=0.1, epochs=3, batch_size=2))
         assert (err.value.epoch, err.value.step) == (1, 3)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_reversal_coefficient_is_refused(self, lam):
+        corpus = training_corpus()
+        model = build(corpus)
+        before = {name: array.copy()
+                  for name, array in model.state_arrays().items()}
+        with pytest.raises(ValueError, match=f"^reversal coefficient must be "
+                                             f"finite, got {lam}$"):
+            train_step(model, list(corpus), 0.1, lam=lam)
+        for name, array in model.state_arrays().items():
+            assert np.array_equal(bits(array), bits(before[name])), name
+
 
 def test_tags_encoded_once_per_run(monkeypatch):
     calls = []
@@ -476,7 +488,7 @@ def test_batched_step_matches_per_sentence_reference(batch_size, window,
     model = build(corpus, window=window, use_lateral_inhibition=use_li,
                   use_adversarial=use_adv, hidden_dim=8)
     for param in model.parameters():  # gates that differ between tokens
-        param.data = rng.uniform(-0.5, 0.5, param.shape)
+        param.data[...] = rng.uniform(-0.5, 0.5, param.shape)
     reference = build(corpus, window=window, use_lateral_inhibition=use_li,
                       use_adversarial=use_adv, hidden_dim=8)
     reference.load_state_arrays(model.state_arrays())
@@ -504,7 +516,7 @@ def test_batched_step_matches_per_sentence_reference(batch_size, window,
 def _dense_step(model, batch, alpha, lam, clip_grad, monkeypatch):
     params = model.parameters()
     for param in params:
-        param.grad = np.zeros_like(param.data)
+        param.grad[...] = 0.0
         param.rows = ad.ALL_ROWS
     with monkeypatch.context() as patch:
         patch.setattr(ad, "embedding_lookup", dense_lookup)
@@ -518,9 +530,9 @@ def _dense_step(model, batch, alpha, lam, clip_grad, monkeypatch):
     clipped = clip_grad is not None and norm > clip_grad
     if clipped:
         for param in params:
-            param.grad = param.grad * (clip_grad / norm)
+            param.grad[...] *= clip_grad / norm
     for param in params:
-        param.data = param.data - alpha * param.grad
+        param.data[...] -= alpha * param.grad
     return clipped
 
 
@@ -536,7 +548,7 @@ def test_row_sparse_steps_match_dense_reference(window, clip_grad, monkeypatch):
         [f"unused{i}" for i in range(20)], language="RO"))
     model = build(corpus, window=window, hidden_dim=8)
     for param in model.parameters():
-        param.data = rng.uniform(-0.5, 0.5, param.shape)
+        param.data[...] = rng.uniform(-0.5, 0.5, param.shape)
     reference = build(corpus, window=window, hidden_dim=8)
     reference.load_state_arrays(model.state_arrays())
     data = trainer.encode(model, sentences)
@@ -616,6 +628,87 @@ def test_steps_write_every_parameter_in_place(monkeypatch):
     assert len(given) == len(params)
     for name, (array, before) in given.items():
         assert np.array_equal(array, before), name
+
+
+# --------------------------------------------------------------------------
+# The arena against the rule it replaced: each parameter zeroed and updated
+# in its own rows. Both are plain SGD, so they agree bitwise.
+# --------------------------------------------------------------------------
+
+def _per_parameter_step(params, loss, alpha, clip_grad):
+    ad.zero_grads(params)
+    ad.backward(loss())
+    if clip_grad is not None:
+        trainer._clip_gradients(params, clip_grad)
+    for param in params:
+        param.data[param.rows] -= alpha * param.grad[param.rows]
+
+
+def _assert_same_parameters(params, want):
+    for param, other in zip(params, want, strict=True):
+        assert np.array_equal(bits(param.data), bits(other.data)), param.name
+        assert np.array_equal(bits(param.grad), bits(other.grad)), param.name
+        assert np.array_equal(param.rows, other.rows), param.name
+
+
+@pytest.mark.parametrize("clip_grad", [None, 1e-2])
+def test_arena_steps_match_per_parameter_rule(clip_grad):
+    corpus = training_corpus()
+    model, reference = build(corpus), build(corpus)
+    data = trainer.encode(model, list(corpus))
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        batch = data.select(rng.choice(len(corpus), 2, replace=False))
+        train_step(model, batch, 0.5, lam=0.7, clip_grad=clip_grad)
+
+        def loss():
+            tag_logits, lang_logits = reference.forward(batch, lam=0.7)
+            return ad.add(ad.softmax_cross_entropy(tag_logits, batch.tags),
+                          ad.softmax_cross_entropy(lang_logits, batch.languages))
+
+        _per_parameter_step(reference.parameters(), loss, 0.5, clip_grad)
+        _assert_same_parameters(model.parameters(), reference.parameters())
+
+
+@pytest.mark.parametrize("clip_grad", [None, 5e-2])
+def test_arena_leaves_a_parameter_no_loss_reaches_unchanged(clip_grad):
+    def parameters():
+        rng = np.random.default_rng(9)
+        return [ad.Parameter(rng.uniform(-1, 1, shape), name)
+                for name, shape in (("w", (4, 3)), ("idle", (2, 2)), ("b", 3))]
+
+    x = ad.tensor(np.random.default_rng(10).uniform(-1, 1, (5, 4)))
+    labels = [0, 2, 1, 1, 0]
+    params, reference = parameters(), parameters()
+    arena = ad.Arena(params)
+    idle = params[1].data.copy()
+    for _ in range(3):
+        arena.zero_grad()
+        ad.backward(ad.softmax_cross_entropy(
+            ad.linear(x, params[0], params[2]), labels))
+        if clip_grad is not None:
+            trainer._clip_gradients(params, clip_grad)
+        arena.data -= 0.5 * arena.grad
+        _per_parameter_step(reference, lambda: ad.softmax_cross_entropy(
+            ad.linear(x, reference[0], reference[2]), labels), 0.5, clip_grad)
+        _assert_same_parameters(params, reference)
+        assert np.shares_memory(params[0].data, arena.data)
+    assert np.array_equal(bits(params[1].data), bits(idle))
+    assert params[1].rows.size == 0 and not params[1].grad.any()
+
+
+def test_a_step_after_an_in_place_write_updates_that_parameter():
+    corpus = training_corpus()
+    model = build(corpus)
+    head_w = model.classifier.head_w
+    with pytest.raises(AttributeError, match="never rebound"):
+        head_w.data = np.zeros(head_w.shape)
+    head_w.data[...] = np.random.default_rng(3).uniform(-1, 1, head_w.shape)
+    written = head_w.data.copy()
+    train_step(model, list(corpus)[:2], 0.5, lam=0.7)
+    assert head_w.grad.any()
+    assert np.array_equal(bits(head_w.data), bits(written - 0.5 * head_w.grad))
+    assert np.shares_memory(head_w.data, model.arena.data)
 
 
 # --------------------------------------------------------------------------
