@@ -99,10 +99,14 @@ class Parameter(Tensor):
             self.rows = ALL_ROWS
             return
         ids, sums = adjoint.summed()
-        self._grad[ids] += sums
         if self.rows is _NO_ROWS:
+            # The rows are zero and no sum is -0.0 (bincount starts each
+            # from +0.0), so assigning them is bitwise adding them.
+            self._grad[ids] = sums
             self.rows = ids  # already sorted and distinct
-        elif self.rows is not ALL_ROWS:
+            return
+        self._grad[ids] += sums
+        if self.rows is not ALL_ROWS:
             self.rows = np.union1d(self.rows, ids)
 
     def __repr__(self) -> str:
@@ -169,13 +173,27 @@ class RowSparse:
         """(sorted distinct ids, their rows of ``dense()``), with each id's
         rows summed in the same order as ``dense`` sums them: bincount adds
         the weights of each bin in input order, starting from 0.0."""
-        ids, inverse = np.unique(self.ids, return_inverse=True)
+        ids, inverse = _unique(self.ids, self.shape[0])
         width = self.shape[1]
         bins = (inverse.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
         sums = np.bincount(bins, weights=self.rows.reshape(-1),
                            minlength=len(ids) * width)
         # bincount gives integers when there is nothing to count.
         return ids, sums.astype(np.float64, copy=False).reshape(len(ids), width)
+
+
+def _unique(ids: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)`` of ids in [0, n_rows), without
+    sorting all n ids: ``slot`` maps each id to one of its positions, the
+    positions that are their id's slot pick the distinct ids, and only those
+    are sorted. ``slot`` is never zeroed, as only the entries the ids name
+    are read, so the cost does not grow with ``n_rows``."""
+    positions = np.arange(len(ids))
+    slot = np.empty(n_rows, np.intp)
+    slot[ids] = positions
+    distinct = np.sort(ids[slot[ids] == positions])
+    slot[distinct] = np.arange(len(distinct))
+    return distinct, slot[ids]
 
 
 def tensor(data) -> Tensor:
@@ -309,6 +327,16 @@ def concat(parts: list[Tensor]) -> Tensor:
     return _node(np.concatenate([p.data for p in parts], axis=1), vjps, "concat")
 
 
+def _integers(values, error, what: str) -> np.ndarray:
+    """``values`` as an int64 array; raise ``error`` if their dtype is not an
+    integer one (bool included), which would be truncated in silence. An
+    empty list, of dtype float64, passes."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu" and values.size:
+        raise error(f"{what} must have an integer dtype, got {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of ``table`` by integer id.
 
@@ -317,7 +345,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     the same as concatenating k flat lookups, one per column.
     """
     _require_2d(table, "embedding_lookup")
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _integers(ids, IndexOutOfVocab, "embedding ids")
     if ids.ndim not in (1, 2):
         raise ShapeMismatch(
             f"embedding_lookup expects a 1-d or 2-d id array, got {ids.shape}")
@@ -341,7 +369,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean cross-entropy of row-wise softmax against integer labels."""
     _require_2d(logits, "softmax_cross_entropy")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integers(labels, ShapeMismatch, "labels")
     n, n_classes = logits.shape
     if labels.shape != (n,):
         raise ShapeMismatch(

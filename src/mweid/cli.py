@@ -32,10 +32,10 @@ import numpy as np
 from . import autodiff as ad
 from . import corpus as corpus_mod
 from . import inhibition
-from .corpus import (CuptError, _write_atomic, iter_cupt, seen_lemma_keys,
-                     serialize_corpus)
+from .corpus import (CuptError, _write_atomic, iter_cupt, mwe_fields,
+                     seen_lemma_keys, serialize_corpus)
 from .evaluation import (AlignmentMismatch, TokenizationMismatch, aligned,
-                         format_table, predict_corpus, score)
+                         format_table, score)
 from .model import CheckpointError, ModelConfig, MweTagger, tag_groups
 from .trainer import TrainerConfig, train
 
@@ -244,8 +244,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_tag(args) -> int:
-    """Tag the input into the output a ``tag_groups`` group at a time: the
-    bytes of ``predict_corpus`` over the whole input."""
+    """Tag the input into the output a ``tag_groups`` group at a time,
+    writing each token's MWE field straight from its predicted tags with
+    ``mwe_fields``: the bytes of ``serialize_corpus`` of ``predict_corpus``
+    over the whole input."""
     if not Path(args.checkpoint).is_file():
         raise CliError(f"no such checkpoint: {args.checkpoint}")
     output = Path(args.output)
@@ -260,9 +262,9 @@ def cmd_tag(args) -> int:
     def write(handle):
         nonlocal tagged
         for group in tag_groups(_read(inputs)):
-            predicted = predict_corpus(model, corpus_mod.Corpus(group))
-            handle.write(serialize_corpus(predicted))
-            tagged += len(predicted)
+            handle.write(serialize_corpus(
+                group, map(mwe_fields, model.predict_tags(group))))
+            tagged += len(group)
 
     _write_atomic(output, write)
     print(f"tagged {tagged} sentences -> {output}")

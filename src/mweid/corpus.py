@@ -60,6 +60,12 @@ class OverlapUnrepresentable(UserWarning):
     """A token belongs to more than one MWE; flat tags keep only one."""
 
 
+def _is_code(code: str) -> bool:
+    """Whether ``code`` is a valid MWE category code: it fits in one MWE
+    field."""
+    return bool(code) and not any(char in code for char in ":;\t\r\n")
+
+
 @dataclass(frozen=True)
 class VmweCategory:
     """A verbal MWE category code such as VID or LVC.full.
@@ -71,7 +77,7 @@ class VmweCategory:
     code: str
 
     def __post_init__(self):
-        if not self.code or any(char in self.code for char in ":;\t\r\n"):
+        if not _is_code(self.code):
             raise BadMweColumn(f"invalid MWE category code: {self.code!r}")
 
     def __str__(self) -> str:
@@ -426,21 +432,31 @@ def _write_atomic(path, write) -> None:
         raise
 
 
-def serialize_sentence(sentence: Sentence) -> str:
+def serialize_sentence(sentence: Sentence, fields=None) -> str:
+    """Render a sentence as CUPT lines. ``fields``, one per token, are
+    written as the MWE column in place of the tokens' ``mwe_raw``."""
+    if fields is None:
+        fields = [token.mwe_raw for token in sentence.tokens]
     lines = list(sentence.comments)
     extras = list(sentence.extra_rows)
-    for position, token in enumerate(sentence.tokens):
+    for position, (token, mwe) in enumerate(
+            zip(sentence.tokens, fields, strict=True)):
         while extras and extras[0][0] <= position:
             lines.append(extras.pop(0)[1])
         lines.append("\t".join((str(token.id), token.form, token.lemma,
-                                token.columns, token.mwe_raw)))
+                                token.columns, mwe)))
     lines.extend(raw for _, raw in extras)
     return "\n".join(lines)
 
 
-def serialize_corpus(corpus: Corpus) -> str:
-    """Render a corpus as CUPT text (one blank line after each sentence)."""
-    return "".join(serialize_sentence(s) + "\n\n" for s in corpus)
+def serialize_corpus(corpus: Iterable[Sentence], fields=None) -> str:
+    """Render a corpus as CUPT text (one blank line after each sentence).
+    ``fields``, an iterable of one list of MWE fields per sentence, is
+    written as their MWE column (see ``serialize_sentence``)."""
+    if fields is None:
+        return "".join(serialize_sentence(s) + "\n\n" for s in corpus)
+    return "".join(serialize_sentence(s, mwe) + "\n\n"
+                   for s, mwe in zip(corpus, fields, strict=True))
 
 
 def extract_mwes(sentence: Sentence) -> list[MweInstance]:
@@ -494,17 +510,18 @@ def encode_tags(sentence: Sentence) -> list[str]:
     return tags
 
 
-def decode_tags(tags: list[str], lemmas=None) -> list[MweInstance]:
-    """Decode IOB2 tags back into MWE instances (lenient, never raises).
+def _spans(tags) -> list[tuple[str, list[int]]]:
+    """The (category code, token positions) of each MWE that ``decode_tags``
+    reads off IOB2 tags, in order of its first token; positions count from 1.
 
-    "B-X" opens a new instance of category X. "I-X" attaches to the most
-    recently opened X instance, skipping any "O" gap in between; an
-    orphan "I-X" with no open X instance starts one. Any other tag, and
-    one whose X is no valid category code, is a gap. Instances are
-    renumbered 1..m in order of their first token. ``lemmas`` (one per
-    tag) supplies the lemma keys; without them keys are empty.
+    "B-X" opens a new span of category X. "I-X" attaches to the most
+    recently opened X span, skipping any "O" gap in between; an orphan
+    "I-X" with no open X span starts one. Any other tag, and one whose X
+    is no valid category code, is a gap.
     """
-    spans: list[tuple[VmweCategory, list[int]]] = []
+    if tags.count("O") == len(tags):
+        return []
+    spans: list[tuple[str, list[int]]] = []
     open_span: dict[str, int] = {}
     for position, tag in enumerate(tags, start=1):
         prefix, cat = tag[:2], tag[2:]
@@ -513,20 +530,41 @@ def decode_tags(tags: list[str], lemmas=None) -> list[MweInstance]:
         if prefix == "I-" and cat in open_span:
             spans[open_span[cat]][1].append(position)
             continue
-        try:
-            category = VmweCategory(cat)
-        except BadMweColumn:
+        if not _is_code(cat):
             continue  # so is a tag whose category code is invalid
         open_span[cat] = len(spans)
-        spans.append((category, [position]))
+        spans.append((cat, [position]))
+    return spans
+
+
+def decode_tags(tags: list[str], lemmas=None) -> list[MweInstance]:
+    """Decode IOB2 tags back into MWE instances (lenient, never raises).
+
+    The instances are the ``_spans`` of the tags, numbered 1..m in order
+    of their first token. ``lemmas`` (one per tag) supplies the lemma keys;
+    without them keys are empty.
+    """
     instances = []
-    for number, (category, positions) in enumerate(spans, start=1):
+    for number, (code, positions) in enumerate(_spans(tags), start=1):
         key = (make_lemma_key(lemmas[i - 1] for i in positions)
                if lemmas is not None else ())
         instances.append(MweInstance(
-            mwe_id=number, category=category,
+            mwe_id=number, category=VmweCategory(code),
             token_indices=tuple(positions), lemma_key=key))
     return instances
+
+
+def mwe_fields(tags: list[str]) -> list[str]:
+    """Each token's MWE field as ``with_instances(s, decode_tags(tags))``
+    writes it for a sentence ``s`` whose token ids are 1..n: the canonical
+    ``format_mwe_field`` of its memberships, or "*". A token lies in at
+    most one span, so a field is "*", "<id>:<category>" or "<id>"."""
+    fields = ["*"] * len(tags)
+    for number, (code, positions) in enumerate(_spans(tags), start=1):
+        fields[positions[0] - 1] = f"{number}:{code}"
+        for position in positions[1:]:
+            fields[position - 1] = str(number)
+    return fields
 
 
 def with_instances(sentence: Sentence, instances: list[MweInstance]) -> Sentence:

@@ -176,7 +176,15 @@ def train_step(model: MweTagger, batch: list[Sentence] | Batch, alpha: float,
     together: disjoint paths keep the classifier free of language gradient
     and the discriminator free of tag gradient, while the reversal layer
     hands the extractor the negated, lam-scaled discriminator gradient.
+
+    Raises ValueError, before any array is touched, unless ``alpha`` is
+    finite and > 0 and ``clip_grad`` is None or finite and > 0.
     """
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    if clip_grad is not None and not 0 < clip_grad < math.inf:
+        raise ValueError(f"clip_grad must be finite and > 0 when set, "
+                         f"got {clip_grad}")
     if not isinstance(batch, Batch):
         if not batch:
             raise EmptyBatch("train_step needs at least one sentence")

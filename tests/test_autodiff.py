@@ -1,5 +1,6 @@
 """Autodiff core: forward semantics, adjoints, gradient checking."""
 
+import math
 import re
 
 import numpy as np
@@ -135,6 +136,39 @@ class TestForward:
         message = f"linear: {x.shape} @ {w.shape} + {b.shape}"
         with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
             ad.linear(ad.tensor(x), ad.tensor(w), ad.tensor(b))
+
+
+class TestIntegerIds:
+    # A float or bool id or label would be truncated in silence.
+    @pytest.mark.parametrize("ids", [[0.9, 2.7], np.array([True, False]),
+                                     np.array([[1.0, 2.0]])])
+    def test_embedding_refuses_ids_of_other_dtypes(self, ids):
+        dtype = np.asarray(ids).dtype
+        with pytest.raises(IndexOutOfVocab, match=f"^embedding ids must have "
+                                                  f"an integer dtype, got "
+                                                  f"{dtype}$"):
+            ad.embedding_lookup(param(np.ones((4, 2))), ids)
+
+    @pytest.mark.parametrize("labels", [[0.5, 2.9], np.array([True, False])])
+    def test_cross_entropy_refuses_labels_of_other_dtypes(self, labels):
+        dtype = np.asarray(labels).dtype
+        with pytest.raises(ShapeMismatch, match=f"^labels must have an "
+                                                f"integer dtype, got {dtype}$"):
+            ad.softmax_cross_entropy(ad.tensor(np.zeros((2, 3))), labels)
+
+    def test_integer_dtypes_and_empty_lists_pass(self):
+        table = param(np.arange(8.0).reshape(4, 2))
+        for ids in ([3, 0], np.array([3, 0], np.uint8),
+                    np.array([3, 0], np.int32)):
+            assert ad.embedding_lookup(table, ids).data.tolist() == \
+                [[6.0, 7.0], [0.0, 1.0]]
+        assert ad.embedding_lookup(table, []).shape == (0, 2)
+        loss = ad.softmax_cross_entropy(ad.tensor(np.zeros((2, 4))),
+                                        np.array([1, 3], np.int32))
+        assert float(loss.data) == pytest.approx(math.log(4))
+        # An empty list passes the dtype check and meets the shape check.
+        with pytest.raises(ShapeMismatch, match="labels shape"):
+            ad.softmax_cross_entropy(ad.tensor(np.zeros((2, 4))), [])
 
 
 class TestParameter:
@@ -398,6 +432,40 @@ class TestFastPathsMatchReferences:
             reversed_sums = ad.RowSparse(ids[::-1], rows[::-1],
                                          (vocab, width)).dense()
             assert not np.array_equal(reversed_sums, dense)
+
+    @pytest.mark.parametrize("case", ["random", "large-table", "empty",
+                                      "one-id", "all-equal", "ends",
+                                      "one-row-table"])
+    def test_unique_is_numpy_unique(self, case):
+        rng = np.random.default_rng(32)
+        n_rows, ids = {
+            "random": (50, rng.integers(0, 50, 300)),
+            "large-table": (100_000, rng.integers(0, 100_000, 300)),
+            "empty": (50, np.zeros(0, dtype=np.int64)),
+            "one-id": (50, np.array([17])),
+            "all-equal": (50, np.full(40, 9)),
+            "ends": (50, rng.permutation(np.repeat([0, 49, 7], 5))),
+            "one-row-table": (1, np.zeros(6, dtype=np.int64))}[case]
+        distinct, inverse = ad._unique(ids, n_rows)
+        want_ids, want_inverse = np.unique(ids, return_inverse=True)
+        assert distinct.dtype == want_ids.dtype
+        assert np.array_equal(distinct, want_ids)
+        assert np.array_equal(inverse, want_inverse)
+
+    def test_negative_zero_rows_sum_to_positive_zero(self):
+        # Row 1 takes only -0.0: its sum starts from +0.0, so it is +0.0
+        # whether the adjoint is assigned (first after zero_grad) or added.
+        rows = np.array([[-0.0, 2.0], [-0.0, -0.0], [-0.0, -0.0]])
+        adjoint = ad.RowSparse(np.array([3, 1, 1]), rows, (4, 2))
+        table = param(np.ones((4, 2)), "table")
+        for _ in range(2):
+            table.accumulate(adjoint)
+            assert np.array_equal(bits(table.grad[1]), bits(np.zeros(2)))
+            assert np.array_equal(bits(table.grad[[0, 2]]),
+                                  bits(np.zeros((2, 2))))
+        assert table.rows.tolist() == [1, 3]
+        assert np.array_equal(bits(table.grad),
+                              bits(adjoint.dense() + adjoint.dense()))
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_linear_is_add_of_matmul_bitwise(self, rows):

@@ -434,7 +434,8 @@ class TestTag:
             raise AssertionError("tagging started")
 
         monkeypatch.setattr(cli.MweTagger, "load", refuse)
-        monkeypatch.setattr(cli, "predict_corpus", refuse)
+        monkeypatch.setattr(cli.MweTagger, "predict_tags", refuse)
+        monkeypatch.setattr(cli, "mwe_fields", refuse)
         assert run(["tag", str(checkpoint), RO, str(out)]) == EXIT_CONFIG
         assert f"output file {out} exists (use --force)" \
             in capsys.readouterr().err

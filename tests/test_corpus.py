@@ -19,7 +19,8 @@ from mweid.corpus import (N_COLUMNS, BadMweColumn, Corpus, CuptError,
                           OverlapUnrepresentable, Sentence, Token, VmweCategory,
                           _check_mwe_rules, corpus_stats, decode_tags,
                           encode_tags, extract_mwes, format_mwe_field,
-                          iter_cupt, make_lemma_key, merge_corpora,
+                          iter_cupt, make_lemma_key, merge_corpora, _spans,
+                          mwe_fields,
                           parse_cupt, parse_cupt_file, seen_lemma_keys,
                           serialize_corpus, serialize_sentence, with_instances)
 from conftest import (corpus_of, cupt_text, make_sentence, parse_rows,
@@ -764,6 +765,37 @@ class TestDecode:
 
     def test_unknown_tags_are_gaps(self):
         assert decode_tags(["junk", "O", "", "B-", "B-a:b", "I-x;y"]) == []
+
+
+class TestMweFields:
+    def test_one_field_per_token(self):
+        tags = ["B-VID", "O", "I-VID", "I-IRV", "B-VID", "I-IRV", "junk"]
+        assert mwe_fields(tags) == ["1:VID", "*", "1", "2:IRV", "3:VID", "2",
+                                    "*"]
+        assert [(m.mwe_id, str(m.category), m.token_indices)
+                for m in decode_tags(tags)] == \
+            [(1, "VID", (1, 3)), (2, "IRV", (4, 6)), (3, "VID", (5,))]
+
+    def test_all_outside_and_empty(self):
+        assert mwe_fields(["O"] * 4) == ["*"] * 4
+        assert mwe_fields([]) == [] and decode_tags([]) == []
+        assert _spans(["O", "O"]) == []
+
+    def test_spans_are_codes_and_positions(self):
+        assert _spans(["O", "I-IRV", "B-a:b", "I-IRV", "B-VID"]) == \
+            [("IRV", [2, 4]), ("VID", [5])]
+
+    def test_fields_replace_the_mwe_column(self):
+        s = parse_rows([("a", "a", "1:VID"), ("b", "b", "_"), ("c", "c", "1")])
+        assert serialize_sentence(s, ["*", "1:IRV", "1"]).splitlines() == [
+            "# sent_id = s1",
+            "1\ta\ta\tX\t_\t_\t_\t_\t_\t_\t*",
+            "2\tb\tb\tX\t_\t_\t_\t_\t_\t_\t1:IRV",
+            "3\tc\tc\tX\t_\t_\t_\t_\t_\t_\t1"]
+        with pytest.raises(ValueError):
+            serialize_sentence(s, ["*", "*"])
+        with pytest.raises(ValueError):
+            serialize_corpus([s, s], [["*"] * 3])
 
 
 def _with_instances_reference(sentence, instances):

@@ -1,6 +1,8 @@
 """Evaluation: exact-match counting, F1 identities, unseen restriction."""
 
 import weakref
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,6 +372,73 @@ class TestPredictCorpus:
         monkeypatch.setattr(model_mod.FeatureExtractor, "features", tracked)
         model.predict_tags([long])
         assert live == [0, 0, 0]
+
+
+class Drawn:
+    """A stand-in model whose ``predict_tags`` gives back fixed tags."""
+
+    def __init__(self, tags):
+        self.tags = tags
+
+    def predict_tags(self, sentences):
+        assert len(list(sentences)) == len(self.tags)
+        return self.tags
+
+
+def random_tags(rng, n, index):
+    """Tags for an n-token sentence. By ``index``: all "O", orphan "I-"
+    tags, "I-" tags across "O" gaps, two categories interleaved, invalid
+    category codes, or a mix of all of them."""
+    kind = index % 6
+    if kind == 0:
+        return ["O"] * n
+    pool = {1: ("O", "I-VID", "I-IRV"),
+            2: ("O", "O", "O", "B-VID", "I-VID"),
+            3: ("B-VID", "B-IRV", "I-VID", "I-IRV"),
+            4: ("O", "B-", "I-", "B-a:b", "I-x;y", "junk", "", "B-VID\t",
+                "I-LVC.full"),
+            5: ("O", "O", "B-VID", "I-VID", "B-IRV", "I-IRV", "B-LVC.full",
+                "I-LVC.full", "I-", "B-a:b", "junk")}[kind]
+    return [pool[i] for i in rng.integers(len(pool), size=n)]
+
+
+class TestMweFieldsWriter:
+    """What ``mweid tag`` writes, the fields ``mwe_fields`` reads off the
+    tags, against the library path: ``serialize_corpus`` of
+    ``predict_corpus``."""
+
+    @staticmethod
+    def sentences(rng):
+        """Random gold sentences, some fields "_", then the extra rows,
+        comments and two-MWE token of the second tagging golden."""
+        sentences = []
+        for index in range(240):
+            s = random_sentence(rng, sent_id=f"w{index}")
+            sentences.append(replace(s, tokens=tuple(
+                t._replace(mwe_raw="_") if not t.mwe_tags
+                and rng.random() < 0.3 else t for t in s.tokens)))
+        golden = Path(__file__).parent / "golden" / "rows_ro.cupt"
+        return sentences + list(corpus_mod.parse_cupt_file(golden))
+
+    def test_fields_write_the_bytes_of_predict_corpus(self):
+        rng = np.random.default_rng(35)
+        sentences = self.sentences(rng)
+        tags = [random_tags(rng, len(s), index)
+                for index, s in enumerate(sentences)]
+        assert any("\t" in tag for sentence in tags for tag in sentence)
+        fields = list(map(corpus_mod.mwe_fields, tags))
+        written = corpus_mod.serialize_corpus(sentences, iter(fields))
+        library = evaluation.predict_corpus(Drawn(tags), Corpus(tuple(sentences)))
+        assert written == corpus_mod.serialize_corpus(library)
+        for index, sentence in enumerate(sentences):
+            one = corpus_mod.serialize_corpus(
+                [sentence], [corpus_mod.mwe_fields(tags[index])])
+            assert one == corpus_mod.serialize_sentence(
+                library.sentences[index]) + "\n\n", index
+        # Every kind of tag sequence wrote some MWE, or none where all "O".
+        written_mwes = [any(field != "*" for field in f) for f in fields]
+        assert not any(written_mwes[0::6])
+        assert all(any(written_mwes[kind::6]) for kind in range(1, 6))
 
 
 def decoded(model, corpus):

@@ -19,9 +19,19 @@ float64 bytes), written by
     python -c 'from mweid.model import MweTagger; MweTagger.load(
         "tests/golden/checkpoint_v1.json").save("tests/golden/checkpoint_v2.json")'
 
-A change that fails here changes what an existing checkpoint means, or
-the bytes a checkpoint is saved as. The tests never write the golden
-files; a missing one fails them.
+``golden/rows_ro.cupt`` has CRLF line ends, multiword-token ranges, an
+empty node, '#' lines after a row, "_" MWE fields and a token in two MWEs;
+``golden/tagged_rows_ro.cupt`` is its tagging by
+
+    mweid tag tests/golden/checkpoint_v2.json tests/golden/rows_ro.cupt \\
+        tests/golden/tagged_rows_ro.cupt
+
+while ``mweid tag`` still wrote ``serialize_corpus`` of ``predict_corpus``,
+which rewrites each sentence from its decoded instances.
+
+A change that fails here changes what an existing checkpoint means, the
+bytes a checkpoint is saved as, or the bytes ``mweid tag`` writes. The
+tests never write the golden files; a missing one fails them.
 """
 
 import json
@@ -38,6 +48,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CHECKPOINT_V1 = GOLDEN / "checkpoint_v1.json"
 CHECKPOINT_V2 = GOLDEN / "checkpoint_v2.json"
 TAGGED = GOLDEN / "tagged_ro.cupt"
+ROWS = GOLDEN / "rows_ro.cupt"
+TAGGED_ROWS = GOLDEN / "tagged_rows_ro.cupt"
 
 
 def test_load_then_save_reproduces_the_checkpoint(tmp_path):
@@ -66,3 +78,15 @@ def test_tagging_the_fixture_reproduces_the_tags(tmp_path):
     assert main(["tag", str(CHECKPOINT_V1), mweid.fixture_path("synthetic_ro.cupt"),
                  str(out)]) == EXIT_OK
     assert out.read_bytes() == TAGGED.read_bytes()
+
+
+def test_tagging_extra_rows_reproduces_the_tags(tmp_path):
+    # The input keeps its rows and comments, but not its CRLF line ends, and
+    # its token in two MWEs is rewritten from the predicted tags.
+    raw = ROWS.read_bytes()
+    assert b"\r\n" in raw and b"\n3-4\t" in raw.replace(b"\r", b"")
+    assert b"\t_\r\n" in raw and b"\t1;2:VID\r\n" in raw
+    assert any(extract_mwes(sentence) for sentence in parse_cupt_file(TAGGED_ROWS))
+    out = tmp_path / "tagged.cupt"
+    assert main(["tag", str(CHECKPOINT_V2), str(ROWS), str(out)]) == EXIT_OK
+    assert out.read_bytes() == TAGGED_ROWS.read_bytes()

@@ -412,6 +412,29 @@ class TestDivergence:
         for name, array in model.state_arrays().items():
             assert np.array_equal(bits(array), bits(before[name])), name
 
+    @pytest.mark.parametrize("alpha, clip_grad, named", [
+        (np.inf, None, "alpha"), (np.nan, None, "alpha"),
+        (-0.1, None, "alpha"), (0.0, None, "alpha"),
+        (0.1, np.nan, "clip_grad"), (0.1, np.inf, "clip_grad"),
+        (0.1, 0.0, "clip_grad"), (0.1, -1.0, "clip_grad")])
+    def test_bad_step_size_or_clip_is_refused_untouched(self, alpha, clip_grad,
+                                                       named):
+        # One step first, so the gradients and their rows are not zero.
+        corpus = training_corpus()
+        model = build(corpus)
+        train_step(model, list(corpus), 0.1)
+        params = model.parameters()
+        before = [(bits(p.data).copy(), bits(p.grad).copy(), p.rows)
+                  for p in params]
+        value = alpha if named == "alpha" else clip_grad
+        with pytest.raises(ValueError, match=f"^{named} must be finite and "
+                                             f"> 0.*, got {value}$"):
+            train_step(model, list(corpus), alpha, clip_grad=clip_grad)
+        for param, (data, grad, rows) in zip(params, before):
+            assert np.array_equal(bits(param.data), data), param.name
+            assert np.array_equal(bits(param.grad), grad), param.name
+            assert param.rows is rows, param.name
+
 
 def test_tags_encoded_once_per_run(monkeypatch):
     calls = []
