@@ -136,6 +136,12 @@ class Sentence:
     (position, raw line) pairs, where position counts how many real
     tokens precede the row; these rows carry no MWE annotation and are
     excluded from tagging.
+
+    ``token_texts`` is each token row's text up to its last tab, as read:
+    the parser sets it, and ``serialize_sentence`` appends the MWE field
+    to it. Any other sentence, ``dataclasses.replace`` of a parsed one
+    included, has None and is written from its tokens. It plays no part in
+    equality, hashing or repr.
     """
 
     tokens: tuple[Token, ...]
@@ -143,6 +149,8 @@ class Sentence:
     language: str | None = None
     comments: tuple[str, ...] = ()
     extra_rows: tuple[tuple[int, str], ...] = ()
+    token_texts: tuple[str, ...] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.tokens:
@@ -310,15 +318,18 @@ def _parse(pieces, language: str | None, source: str):
                     key, sep, value = comment[1:].partition("=")
                     if sep and key.strip() == "sent_id":
                         sent_id = value.strip()
-                yield Sentence(
+                sentence = Sentence(
                     tokens=tuple(tokens), sent_id=sent_id,
                     language=language, comments=tuple(comments),
                     extra_rows=tuple(extra_rows))
+                object.__setattr__(sentence, "token_texts", tuple(texts))
+                yield sentence
                 first = None
                 continue
             if first is None:
                 first = index
-                comments, tokens, annotated, extra_rows = [], [], [], []
+                comments, tokens, texts, annotated, extra_rows = (
+                    [], [], [], [], [])
                 in_order = True
             if line.startswith("#"):
                 if tokens or extra_rows:
@@ -357,6 +368,7 @@ def _parse(pieces, language: str | None, source: str):
             token = tuple.__new__(Token, (tok_id, form, lemma, columns,
                                           tags, raw))
             tokens.append(token)
+            texts.append(head)
             if tags:
                 annotated.append(token)
     except CuptError as err:
@@ -433,18 +445,25 @@ def _write_atomic(path, write) -> None:
 
 
 def serialize_sentence(sentence: Sentence, fields=None) -> str:
-    """Render a sentence as CUPT lines. ``fields``, one per token, are
-    written as the MWE column in place of the tokens' ``mwe_raw``."""
+    """Render a sentence as CUPT lines: each token row's ``token_texts``,
+    or its id, form, lemma and columns where there are none, then its MWE
+    field. ``fields``, one per token, are written as the MWE column in
+    place of the tokens' ``mwe_raw``."""
+    texts = sentence.token_texts
+    if texts is None:
+        texts = [f"{token.id}\t{token.form}\t{token.lemma}\t{token.columns}"
+                 for token in sentence.tokens]
     if fields is None:
         fields = [token.mwe_raw for token in sentence.tokens]
+    rows = [f"{text}\t{mwe}" for text, mwe in zip(texts, fields, strict=True)]
+    if not sentence.extra_rows:
+        return "\n".join((*sentence.comments, *rows))
     lines = list(sentence.comments)
     extras = list(sentence.extra_rows)
-    for position, (token, mwe) in enumerate(
-            zip(sentence.tokens, fields, strict=True)):
+    for position, row in enumerate(rows):
         while extras and extras[0][0] <= position:
             lines.append(extras.pop(0)[1])
-        lines.append("\t".join((str(token.id), token.form, token.lemma,
-                                token.columns, mwe)))
+        lines.append(row)
     lines.extend(raw for _, raw in extras)
     return "\n".join(lines)
 

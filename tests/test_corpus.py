@@ -4,8 +4,9 @@ import copy
 import gc
 import io
 import pickle
+import random
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from mweid.corpus import (N_COLUMNS, BadMweColumn, Corpus, CuptError,
                           serialize_corpus, serialize_sentence, with_instances)
 from conftest import (corpus_of, cupt_text, make_sentence, parse_rows,
                       random_sentence)
+from test_parse_golden import golden_texts
 
 
 def _outcome(parse, *args, **kwargs):
@@ -796,6 +798,104 @@ class TestMweFields:
             serialize_sentence(s, ["*", "*"])
         with pytest.raises(ValueError):
             serialize_corpus([s, s], [["*"] * 3])
+
+
+def _rebuilt(sentence):
+    """The sentence built by hand: no kept text, so it is written from its
+    tokens."""
+    return Sentence(sentence.tokens, sentence.sent_id, sentence.language,
+                    sentence.comments, sentence.extra_rows)
+
+
+EXTRA_ROWS_TEXT = ("# sent_id = k1\n"
+                   "1\tEl\tel\tPRON\t_\t_\t_\t_\t_\t_\t*\n"
+                   "2-3\tse-a\t_\t_\t_\t_\t_\t_\t_\t_\t_\n"
+                   "2\tse\tse\tPRON\t_\tCase=Acc\t3\tobj\t_\t_\t1:IRV\n"
+                   "3\ta\tavea\tAUX\t_\t_\t0\troot\t_\tSpaceAfter=No\t1\n"
+                   "3.1\tea\tea\tPRON\t_\t_\t_\t_\t_\t_\t_\n"
+                   "# after a row\n"
+                   "4\t.\t.\tPUNCT\t_\t_\t3\tpunct\t_\t_\t_\n\n")
+
+
+class TestKeptText:
+    """A parsed sentence keeps each token row's text up to its last tab,
+    and the writer appends the MWE field to it; any other sentence is
+    written from its tokens. Both write the same bytes."""
+
+    def test_kept_text_writes_the_bytes_of_the_tokens(self):
+        rng = random.Random(36)
+        choices = ("*", "_", "1:VID", "1", "1;2:IRV", "")
+        counts = {"sentences": 0, "extra_rows": 0, "comments": 0}
+        for text, language in golden_texts():
+            try:
+                corpus = parse_cupt(text, language=language)
+            except CuptError:
+                continue
+            for s in corpus:
+                assert s.token_texts is not None
+                assert len(s.token_texts) == len(s.tokens)
+                built = _rebuilt(s)
+                assert built.token_texts is None
+                fields = [rng.choice(choices) for _ in s.tokens]
+                assert serialize_sentence(s) == serialize_sentence(built)
+                for given in (fields, iter(fields)):
+                    assert serialize_sentence(s, given) \
+                        == serialize_sentence(built, fields)
+                counts["sentences"] += 1
+                counts["extra_rows"] += bool(s.extra_rows)
+                counts["comments"] += bool(s.comments)
+            assert serialize_corpus(corpus) \
+                == serialize_corpus(map(_rebuilt, corpus))
+        assert counts == {"sentences": 1107, "extra_rows": 490,
+                          "comments": 856}
+
+    def test_derived_sentences_write_their_own_tokens(self):
+        s = parse_cupt(EXTRA_ROWS_TEXT).sentences[0]
+        changed = tuple(t._replace(form=t.form.upper(), lemma=f"L{t.id}",
+                                   columns="Y\t_\t_\t_\t_\t_\t_")
+                        for t in s.tokens)
+        out = replace(s, tokens=changed)
+        assert out.token_texts is None
+        lines = serialize_sentence(out).splitlines()
+        assert lines[1] == "1\tEL\tL1\tY\t_\t_\t_\t_\t_\t_\t*"
+        assert lines[3] == "2\tSE\tL2\tY\t_\t_\t_\t_\t_\t_\t1:IRV"
+        assert serialize_sentence(out) == serialize_sentence(_rebuilt(out))
+        rewritten = with_instances(s, decode_tags(["O", "B-VID", "O", "I-VID"]))
+        assert rewritten.token_texts is None
+        assert serialize_sentence(rewritten) \
+            == serialize_sentence(s, ["*", "1:VID", "*", "1"])
+        merged = merge_corpora([(Corpus((s,)), "RO")]).sentences[0]
+        assert merged.token_texts is None and merged.language == "RO"
+        assert serialize_sentence(merged) == serialize_sentence(s)
+        by_hand = make_sentence(["a", "b"], [("VID", [1, 2])])
+        assert by_hand.token_texts is None
+        assert serialize_sentence(by_hand).splitlines()[-2:] == [
+            "1\ta\ta\tX\t_\t_\t_\t_\t_\t_\t1:VID",
+            "2\tb\tb\tX\t_\t_\t_\t_\t_\t_\t1"]
+
+    def test_kept_text_is_not_part_of_the_value(self):
+        s = parse_cupt(EXTRA_ROWS_TEXT, language="RO").sentences[0]
+        built = _rebuilt(s)
+        assert s == built and hash(s) == hash(built) and repr(s) == repr(built)
+        assert "token_texts" not in repr(s)
+        for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s),
+                     copy.deepcopy(s)):
+            assert twin == s and twin.token_texts == s.token_texts
+            assert serialize_sentence(twin) == serialize_sentence(s)
+        with pytest.raises(TypeError):
+            Sentence(s.tokens, token_texts=s.token_texts)
+        with pytest.raises(ValueError):
+            replace(s, token_texts=None)
+        with pytest.raises(FrozenInstanceError):
+            s.token_texts = None
+
+    def test_a_field_count_that_does_not_match_raises(self):
+        s = parse_cupt(EXTRA_ROWS_TEXT).sentences[0]
+        for sentence in (s, _rebuilt(s)):
+            for fields in (["*"] * 3, ["*"] * 5, []):
+                for given in (fields, iter(fields)):
+                    with pytest.raises(ValueError):
+                        serialize_sentence(sentence, given)
 
 
 def _with_instances_reference(sentence, instances):

@@ -27,7 +27,8 @@ empty node, '#' lines after a row, "_" MWE fields and a token in two MWEs;
         tests/golden/tagged_rows_ro.cupt
 
 while ``mweid tag`` still wrote ``serialize_corpus`` of ``predict_corpus``,
-which rewrites each sentence from its decoded instances.
+which rewrites each sentence from its decoded instances. Tagging is
+idempotent: ``tagged_rows_ro.cupt`` tagged again gives its own bytes back.
 
 A change that fails here changes what an existing checkpoint means, the
 bytes a checkpoint is saved as, or the bytes ``mweid tag`` writes. The
@@ -90,3 +91,16 @@ def test_tagging_extra_rows_reproduces_the_tags(tmp_path):
     out = tmp_path / "tagged.cupt"
     assert main(["tag", str(CHECKPOINT_V2), str(ROWS), str(out)]) == EXIT_OK
     assert out.read_bytes() == TAGGED_ROWS.read_bytes()
+
+
+def test_tagging_the_tags_gives_them_back(tmp_path):
+    # The input's MWE column is not all "*", and each row is written from
+    # the text it was read as plus the new field, around a range, an empty
+    # node and '#' lines after rows.
+    raw = TAGGED_ROWS.read_bytes()
+    assert b"\t1:IRV\n" in raw and b"\n3-4\t" in raw and b"\n4.1\t" in raw
+    assert b"\n# a comment after a row\n" in raw
+    out = tmp_path / "retagged.cupt"
+    assert main(["tag", str(CHECKPOINT_V2), str(TAGGED_ROWS), str(out)]) \
+        == EXIT_OK
+    assert out.read_bytes() == raw
